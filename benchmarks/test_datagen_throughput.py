@@ -8,7 +8,8 @@ Four measurements, one fail-closed JSON:
   directory.  The chunked build's peak-RSS delta must stay under half
   the in-memory build's — the point of the out-of-core path.
 * **viterbi** — the vectorised Viterbi kernel vs the retained scalar
-  reference, timed over precomputed candidate columns (candidate
+  reference, timed over precomputed candidates (the padded lattice for
+  the kernel, its per-fix columns for the reference; candidate
   generation is shared and excluded).  Floor 3x at full scale, 2x
   reduced; the decoded state sequences must be identical.
 * **parallel** — ``match_many`` at 4 workers vs serial.  CI boxes are
@@ -38,7 +39,7 @@ from repro.datagen import (
 )
 from repro.datagen.pipeline import BENCH_DATAGEN_SCHEMA
 from repro.mapmatching import HMMMapMatcher, match_many
-from repro.mapmatching.candidates import candidates_for_trajectory
+from repro.mapmatching.candidates import candidate_lattice
 from repro.roadnet import grid_city
 
 from .conftest import bench_scale, print_header
@@ -128,18 +129,20 @@ def test_datagen_pipeline_bench(tmp_path):
                     removal_fraction=0.0, jitter=0.05)
     matcher = HMMMapMatcher(net)
     traces = _synth_traces(net, count=int(12 * min(scale, 4.0)) or 4)
-    columns = [candidates_for_trajectory(
+    lattices = [candidate_lattice(
         matcher.index, t.points, matcher.config.radius,
         matcher.config.max_candidates) for t in traces]
+    columns = [lattice.columns() for lattice in lattices]
 
     def run_engine(name):
         states, best = [], None
-        fn = (matcher._viterbi_vectorized if name == "vectorized"
-              else matcher._viterbi_reference)
+        fn, inputs = ((matcher._viterbi_vectorized, lattices)
+                      if name == "vectorized"
+                      else (matcher._viterbi_reference, columns))
         for _ in range(2):          # best-of-2: single-core jitter
             t0 = time.perf_counter()
-            states = [fn(t.points, cols)
-                      for t, cols in zip(traces, columns)]
+            states = [fn(t.points, cands)
+                      for t, cands in zip(traces, inputs)]
             elapsed = time.perf_counter() - t0
             best = elapsed if best is None else min(best, elapsed)
         return states, best

@@ -166,10 +166,10 @@ def _rematch_chunk(matcher, trips: List[TripRecord], jobs: int,
     10^5-trip build must not abort on one bad trajectory.
     """
     from ..mapmatching.batch import match_many
-    results = match_many(matcher, [t.raw for t in trips], jobs=jobs)
-    matched = sum(1 for r in results if r.trajectory is not None)
-    with tracer.span("datagen.match", trips=len(trips), matched=matched,
-                     jobs=jobs):
+    with tracer.span("datagen.match", trips=len(trips), jobs=jobs):
+        results = match_many(matcher, [t.raw for t in trips], jobs=jobs)
+        tracer.annotate(matched=sum(1 for r in results
+                                    if r.trajectory is not None))
         out: List[TripRecord] = []
         for trip, res in zip(trips, results):
             if res.trajectory is not None:

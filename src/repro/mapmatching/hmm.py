@@ -11,7 +11,6 @@ connected path via shortest-path gap filling.
 
 from __future__ import annotations
 
-import heapq
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -24,7 +23,7 @@ from ..roadnet.shortest_path import NoPathError, dijkstra, dijkstra_sssp
 from ..roadnet.spatial_index import SpatialIndex
 from ..trajectory.interpolation import intervals_from_gps_times
 from ..trajectory.model import GPSPoint, MatchedTrajectory, RawTrajectory
-from .candidates import Candidate, candidates_for_trajectory
+from .candidates import Candidate, CandidateLattice, candidate_lattice
 
 
 class MatchingError(Exception):
@@ -94,8 +93,9 @@ class HMMConfig:
     displacement discrepancy; ``radius`` bounds the candidate search.
 
     ``engine`` selects the Viterbi implementation: ``"vectorized"``
-    (numpy emission/transition matrices over each fix's candidate
-    column, route distances from cached per-vertex SSSP rows) or
+    (numpy emission and transition tensors over the whole trajectory's
+    candidate lattice, route distances from cached per-vertex SSSP
+    rows) or
     ``"reference"`` (the retained per-candidate scalar oracle).  Both
     produce the same matched paths; the benchmark suite asserts the
     speedup and the parity tests assert the agreement.
@@ -129,8 +129,6 @@ class HMMMapMatcher:
         self.config = config or HMMConfig()
         self._route_cache = LRUCache(self.config.route_cache_size)
         self._sssp_cache = LRUCache(self.config.sssp_cache_size)
-        self._edge_arrays: Optional[Tuple[np.ndarray, np.ndarray,
-                                          np.ndarray]] = None
 
     # ------------------------------------------------------------------
     def match(self, traj: RawTrajectory) -> MatchedTrajectory:
@@ -140,15 +138,14 @@ class HMMMapMatcher:
         sequence (e.g. all candidates of some fix are unreachable).
         """
         points = traj.points
-        columns = candidates_for_trajectory(
-            self.index, points, self.config.radius,
-            self.config.max_candidates)
-        if any(not col for col in columns):
+        lattice = candidate_lattice(self.index, points, self.config.radius,
+                                    self.config.max_candidates)
+        if not lattice.counts.all():
             raise MatchingError("a GPS fix produced no candidates")
-        best_states = self._viterbi(points, columns)
-        edge_seq, route_positions = self._expand_path(best_states, columns)
-        start = columns[0][best_states[0]]
-        end = columns[-1][best_states[-1]]
+        states = self._viterbi(points, lattice)
+        chosen = [lattice.candidate(t, s) for t, s in enumerate(states)]
+        edge_seq, route_positions = self._expand_path(chosen)
+        start, end = chosen[0], chosen[-1]
         times = [p.timestamp for p in points]
         elements = intervals_from_gps_times(
             self.net, edge_seq, times, route_positions,
@@ -203,10 +200,10 @@ class HMMMapMatcher:
     # Viterbi
     # ------------------------------------------------------------------
     def _viterbi(self, points: Sequence[GPSPoint],
-                 columns: List[List[Candidate]]) -> List[int]:
+                 lattice: CandidateLattice) -> List[int]:
         if self.config.engine == "vectorized":
-            return self._viterbi_vectorized(points, columns)
-        return self._viterbi_reference(points, columns)
+            return self._viterbi_vectorized(points, lattice)
+        return self._viterbi_reference(points, lattice.columns())
 
     def _viterbi_reference(self, points: Sequence[GPSPoint],
                            columns: List[List[Candidate]]) -> List[int]:
@@ -251,74 +248,46 @@ class HMMMapMatcher:
         return states
 
     def _viterbi_vectorized(self, points: Sequence[GPSPoint],
-                            columns: List[List[Candidate]]) -> List[int]:
-        """Column-vectorised Viterbi.
+                            lattice: CandidateLattice) -> List[int]:
+        """Lattice-vectorised Viterbi.
 
-        Each DP step evaluates the whole (prev x cur) candidate block as
-        numpy matrices.  Route distances come from cached single-source
-        shortest-path rows keyed by edge-end vertex, so a step costs a
-        handful of array ops instead of up to
-        ``max_candidates**2`` point-to-point Dijkstra runs.  Expression
-        trees mirror the scalar reference exactly (same operand order),
-        so both engines produce identical log-probabilities.
+        Emissions form one padded ``(n, K)`` array and transitions one
+        ``(n-1, K, K)`` tensor (see :meth:`_transition_tensor`), so the
+        per-fix loop is an add and an argmax.  Padding slots score
+        ``-inf`` and never win a maximum.  Expression trees mirror the
+        scalar reference exactly (same operand order), so both engines
+        produce identical log-probabilities.
         """
-        n = len(points)
-        cols = [self._column_arrays(col) for col in columns]
-        prev_scores = self._emission_vector(cols[0])
-        back: List[np.ndarray] = []
+        sigma = self.config.sigma
+        emission = np.where(
+            lattice.valid,
+            -0.5 * (lattice.distances / sigma) ** 2
+            - np.log(sigma * np.sqrt(2 * np.pi)),
+            -np.inf)
+        n, width = emission.shape
+        trans = self._transition_tensor(points, lattice)
+        scores = np.empty((n, width))
+        scores[0] = emission[0]
+        back = np.empty((n - 1, width), dtype=np.int64)
+        slots = np.arange(width)
         for t in range(1, n):
-            displacement = float(np.hypot(
-                points[t].x - points[t - 1].x,
-                points[t].y - points[t - 1].y))
-            trans = self._transition_matrix(cols[t - 1], cols[t],
-                                            displacement)
-            total = prev_scores[:, None] + trans
+            total = scores[t - 1][:, None] + trans[t - 1]
             # np.argmax keeps the first maximum, like the reference's
             # strict-improvement scan.
-            pointers = np.argmax(total, axis=0)
-            scores = total[pointers, np.arange(total.shape[1])] \
-                + self._emission_vector(cols[t])
-            if not np.any(np.isfinite(scores)):
-                raise MatchingError(
-                    f"no feasible transition into GPS fix {t}")
-            prev_scores = scores
-            back.append(pointers.astype(np.int64))
-
-        states = [int(np.argmax(prev_scores))]
-        for pointers in reversed(back):
+            back[t - 1] = pointers = np.argmax(total, axis=0)
+            scores[t] = total[pointers, slots] + emission[t]
+        # A fix with no finite score leaves every later fix at -inf, so
+        # the first such fix is the one the reference rejects.
+        dead = ~np.isfinite(scores[1:]).any(axis=1)
+        if dead.any():
+            raise MatchingError(
+                f"no feasible transition into GPS fix "
+                f"{int(np.argmax(dead)) + 1}")
+        states = [int(np.argmax(scores[-1]))]
+        for pointers in back[::-1]:
             states.append(int(pointers[states[-1]]))
         states.reverse()
         return states
-
-    def _column_arrays(self, col: List[Candidate]
-                       ) -> Tuple[np.ndarray, ...]:
-        """(edge_ids, ratios, distances, lengths, ends, starts) of one
-        candidate column."""
-        if self._edge_arrays is None:
-            net = self.net
-            num = net.num_edges
-            lengths = np.empty(num)
-            starts = np.empty(num, dtype=np.int64)
-            ends = np.empty(num, dtype=np.int64)
-            for eid in range(num):
-                edge = net.edge(eid)
-                lengths[eid] = edge.length
-                starts[eid] = edge.start
-                ends[eid] = edge.end
-            self._edge_arrays = (lengths, starts, ends)
-        lengths, starts, ends = self._edge_arrays
-        k = len(col)
-        eids = np.fromiter((c.edge_id for c in col), np.int64, count=k)
-        ratios = np.fromiter((c.ratio for c in col), np.float64, count=k)
-        dists = np.fromiter((c.distance for c in col), np.float64, count=k)
-        return (eids, ratios, dists, lengths[eids], ends[eids],
-                starts[eids])
-
-    def _emission_vector(self, col_arrays: Tuple[np.ndarray, ...]
-                         ) -> np.ndarray:
-        sigma = self.config.sigma
-        return (-0.5 * (col_arrays[2] / sigma) ** 2
-                - np.log(sigma * np.sqrt(2 * np.pi)))
 
     def _sssp_row(self, vertex: int) -> np.ndarray:
         row = self._sssp_cache.get(vertex)
@@ -327,31 +296,52 @@ class HMMMapMatcher:
             self._sssp_cache.put(vertex, row)
         return row
 
-    def _transition_matrix(self, prev_arrays, cur_arrays,
-                           displacement: float) -> np.ndarray:
-        """(m, k) transition log-probabilities between two columns."""
+    def _transition_tensor(self, points: Sequence[GPSPoint],
+                           lattice: CandidateLattice) -> np.ndarray:
+        """``(n-1, K, K)`` transition log-probabilities: entry
+        ``[t, i, j]`` scores candidate ``i`` of fix ``t`` followed by
+        candidate ``j`` of fix ``t + 1``."""
         cfg = self.config
-        eid_a, ratio_a, _, len_a, end_a, _ = prev_arrays
-        eid_b, ratio_b, _, len_b, _, start_b = cur_arrays
-        uniq_ends, inverse = np.unique(end_a, return_inverse=True)
-        rows = np.stack([self._sssp_row(int(v))[start_b]
-                         for v in uniq_ends])
-        between = rows[inverse]                       # (m, k)
-        tail = (1.0 - ratio_a) * len_a                # (m,)
-        head = ratio_b * len_b                        # (k,)
+        arrays = self.net.arrays()
+        eids, ratios, valid = lattice.edge_ids, lattice.ratios, lattice.valid
+        lengths = arrays.length[eids]
+        xs = np.array([p.x for p in points])
+        ys = np.array([p.y for p in points])
+        displacement = np.hypot(xs[1:] - xs[:-1],
+                                ys[1:] - ys[:-1])[:, None, None]
+        between = self._between(arrays.end[eids[:-1]], valid[:-1],
+                                arrays.start[eids[1:]], valid[1:])
+        eid_a, ratio_a, len_a = (eids[:-1, :, None], ratios[:-1, :, None],
+                                 lengths[:-1, :, None])
+        eid_b, ratio_b, len_b = (eids[1:, None, :], ratios[1:, None, :],
+                                 lengths[1:, None, :])
+        tail = (1.0 - ratio_a) * len_a
+        head = ratio_b * len_b
         # Same operand order as the scalar `tail + between + head`.
-        route = (tail[:, None] + between) + head[None, :]
-        same = (eid_a[:, None] == eid_b[None, :]) \
-            & (ratio_b[None, :] >= ratio_a[:, None])
-        if same.any():
-            direct = (ratio_b[None, :] - ratio_a[:, None]) * len_a[:, None]
-            route = np.where(same, direct, route)
-        diff = np.abs(route - displacement)
-        penalty = -diff / cfg.beta
+        route = (tail + between) + head
+        same = (eid_a == eid_b) & (ratio_b >= ratio_a)
+        route = np.where(same, (ratio_b - ratio_a) * len_a, route)
+        penalty = -np.abs(route - displacement) / cfg.beta
         # Unreachable pairs have route == inf, hence penalty == -inf,
         # matching the reference's `route is None -> -inf`.
         prune = route > cfg.max_route_factor * displacement + 200.0
         return np.where(prune, penalty - 50.0, penalty)
+
+    def _between(self, ends: np.ndarray, ends_valid: np.ndarray,
+                 starts: np.ndarray, starts_valid: np.ndarray
+                 ) -> np.ndarray:
+        """Network distances ``ends[t, i] -> starts[t, j]`` as a
+        ``(n-1, K, K)`` tensor, from one SSSP row per distinct valid
+        end vertex of the trajectory (padding slots read row 0)."""
+        sources, src = np.unique(ends[ends_valid], return_inverse=True)
+        targets, dst = np.unique(starts[starts_valid], return_inverse=True)
+        table = np.stack([self._sssp_row(v)[targets]
+                          for v in sources.tolist()])
+        row = np.zeros(ends.shape, dtype=np.int64)
+        row[ends_valid] = src
+        col = np.zeros(starts.shape, dtype=np.int64)
+        col[starts_valid] = dst
+        return table[row[:, :, None], col[:, None, :]]
 
     def _emission(self, cand: Candidate) -> float:
         sigma = self.config.sigma
@@ -379,7 +369,9 @@ class HMMMapMatcher:
         from a's position to the end of its edge, a shortest path to the
         start of b's edge, plus b's partial edge.
         """
-        key = (a.edge_id, round(a.ratio, 4), b.edge_id, round(b.ratio, 4))
+        # Exact ratios: candidates a hair apart on one edge have
+        # different route distances, so rounded keys would collide.
+        key = (a.edge_id, a.ratio, b.edge_id, b.ratio)
         # None (unreachable) is a legitimate cached value, so distinguish
         # a miss with the cache's own sentinel default.
         result = self._route_cache.get(key, LRUCache._MISSING)
@@ -405,17 +397,16 @@ class HMMMapMatcher:
     # ------------------------------------------------------------------
     # Path expansion
     # ------------------------------------------------------------------
-    def _expand_path(self, states: List[int],
-                     columns: List[List[Candidate]]
+    def _expand_path(self, cands: List[Candidate]
                      ) -> Tuple[List[int], List[float]]:
-        """Expand matched candidates into a connected edge sequence.
+        """Expand the matched candidates (one per GPS fix) into a
+        connected edge sequence.
 
         Returns the edge sequence and, aligned with the GPS fixes, each
         fix's cumulative route position (metres from the trip origin) for
         interval interpolation.
         """
         net = self.net
-        cands = [columns[t][s] for t, s in enumerate(states)]
         edge_seq: List[int] = [cands[0].edge_id]
         first_edge_len = net.edge(cands[0].edge_id).length
         origin_offset = cands[0].ratio * first_edge_len

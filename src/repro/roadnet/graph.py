@@ -5,7 +5,10 @@ road segment ``e_k = <v1_k -> v-1_k, w_k>`` with a length weight, each vertex
 an end point.  :class:`RoadNetwork` stores vertices with planar coordinates
 (metres, a local projection of lon/lat) and provides the adjacency views the
 rest of the system needs: outgoing/incoming edges, edge lookup by endpoint
-pair, and geometric helpers (edge length, point projection).
+pair, and geometric helpers (edge length, point projection).  Hot loops
+(shortest-path rows, candidate projection, Viterbi lattices) read the
+cached per-edge arrays and CSR out-adjacency of :meth:`RoadNetwork.arrays`
+instead of walking :class:`Edge` objects.
 """
 
 from __future__ import annotations
@@ -51,6 +54,30 @@ class Edge:
             raise ValueError(f"edge {self.edge_id} has non-positive speed")
 
 
+@dataclass(frozen=True)
+class EdgeArrays:
+    """Per-edge columns and the CSR out-adjacency of a network.
+
+    Edge columns are indexed by edge id.  ``ax, ay`` are the start
+    vertex coordinates and ``dx, dy`` the segment vector, computed with
+    the same expressions as :meth:`RoadNetwork.project_point` so array
+    projections stay bit-identical to the scalar one.  The out-adjacency
+    lists vertex ``v``'s outgoing edge ids at
+    ``out_edges[out_indptr[v]:out_indptr[v + 1]]`` in insertion order.
+    """
+
+    length: np.ndarray
+    start: np.ndarray
+    end: np.ndarray
+    ax: np.ndarray
+    ay: np.ndarray
+    dx: np.ndarray
+    dy: np.ndarray
+    seg_len_sq: np.ndarray
+    out_indptr: np.ndarray
+    out_edges: np.ndarray
+
+
 class RoadNetwork:
     """Directed weighted road graph with geometry.
 
@@ -65,6 +92,8 @@ class RoadNetwork:
         self._out: Dict[int, List[int]] = {}
         self._in: Dict[int, List[int]] = {}
         self._by_endpoints: Dict[Tuple[int, int], int] = {}
+        self._arrays: Optional[EdgeArrays] = None
+        self._adjacency: Optional[List[List[Tuple[int, float]]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -73,6 +102,7 @@ class RoadNetwork:
         if vertex_id in self._vertices:
             raise ValueError(f"duplicate vertex id {vertex_id}")
         vertex = Vertex(vertex_id, float(x), float(y))
+        self._invalidate()
         self._vertices[vertex_id] = vertex
         self._out.setdefault(vertex_id, [])
         self._in.setdefault(vertex_id, [])
@@ -91,11 +121,69 @@ class RoadNetwork:
             length = self.euclidean(start, end)
         edge = Edge(len(self._edges), start, end, float(length),
                     float(speed_limit), road_class)
+        self._invalidate()
         self._edges.append(edge)
         self._out[start].append(edge.edge_id)
         self._in[end].append(edge.edge_id)
         self._by_endpoints[(start, end)] = edge.edge_id
         return edge
+
+    def _invalidate(self) -> None:
+        self._arrays = None
+        self._adjacency = None
+
+    # ------------------------------------------------------------------
+    # Array views (cached; rebuilt after any mutation)
+    # ------------------------------------------------------------------
+    def arrays(self) -> EdgeArrays:
+        """Per-edge columns and CSR out-adjacency (see :class:`EdgeArrays`).
+
+        The CSR rows are indexed by vertex id, so vertex ids must be
+        dense ``0..|V|-1`` (as every generator produces).
+        """
+        if self._arrays is None:
+            n = self.num_vertices
+            if any(vid >= n or vid < 0 for vid in self._vertices):
+                raise ValueError("array views need dense vertex ids "
+                                 "0..|V|-1")
+            edges = self._edges
+            length = np.array([e.length for e in edges], dtype=np.float64)
+            start = np.array([e.start for e in edges], dtype=np.int64)
+            end = np.array([e.end for e in edges], dtype=np.int64)
+            vx = np.array([self._vertices[v].x for v in range(n)])
+            vy = np.array([self._vertices[v].y for v in range(n)])
+            ax, ay = vx[start], vy[start]
+            dx, dy = vx[end] - ax, vy[end] - ay
+            degree = np.array([len(self._out[v]) for v in range(n)],
+                              dtype=np.int64)
+            out_indptr = np.zeros(n + 1, dtype=np.int64)
+            np.cumsum(degree, out=out_indptr[1:])
+            out_edges = np.array(
+                [eid for v in range(n) for eid in self._out[v]],
+                dtype=np.int64)
+            arrays = EdgeArrays(
+                length=length, start=start, end=end, ax=ax, ay=ay,
+                dx=dx, dy=dy, seg_len_sq=dx * dx + dy * dy,
+                out_indptr=out_indptr, out_edges=out_edges)
+            # Shared by every caller until the next mutation.
+            for column in vars(arrays).values():
+                column.flags.writeable = False
+            self._arrays = arrays
+        return self._arrays
+
+    def out_adjacency(self) -> List[List[Tuple[int, float]]]:
+        """``(head vertex, edge length)`` pairs per vertex, in the CSR's
+        (insertion) order: the plain-Python form the heap kernels loop
+        over, free of :class:`Edge` lookups."""
+        if self._adjacency is None:
+            arr = self.arrays()
+            heads = arr.end[arr.out_edges].tolist()
+            costs = arr.length[arr.out_edges].tolist()
+            ptr = arr.out_indptr.tolist()
+            self._adjacency = [list(zip(heads[ptr[v]:ptr[v + 1]],
+                                        costs[ptr[v]:ptr[v + 1]]))
+                               for v in range(self.num_vertices)]
+        return self._adjacency
 
     # ------------------------------------------------------------------
     # Queries

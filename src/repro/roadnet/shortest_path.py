@@ -62,37 +62,35 @@ def dijkstra(net: RoadNetwork, source: int, target: int,
     raise NoPathError(f"no path from {source} to {target}")
 
 
-def dijkstra_sssp(net: RoadNetwork, source: int,
-                  edge_cost: Optional[Callable[[int], float]] = None
-                  ) -> np.ndarray:
-    """Single-source shortest-path distances to *every* vertex.
+def dijkstra_sssp(net: RoadNetwork, source: int) -> np.ndarray:
+    """Single-source edge-length distances to *every* vertex.
 
     Returns a ``(num_vertices,)`` float array with ``np.inf`` for
     unreachable vertices.  Distances agree exactly with point-to-point
     :func:`dijkstra` (same relaxation arithmetic, no early exit), which
     is what lets the vectorised map matcher cache one row per source
-    vertex instead of one entry per vertex pair.
+    vertex instead of one entry per vertex pair.  The heap runs over
+    :meth:`RoadNetwork.out_adjacency`: plain lists, no :class:`Edge`
+    objects and no cost callback.
     """
-    if edge_cost is None:
-        edge_cost = lambda eid: net.edge(eid).length  # noqa: E731
-    dist = np.full(net.num_vertices, np.inf)
+    adjacency = net.out_adjacency()
+    dist = [np.inf] * net.num_vertices
     dist[source] = 0.0
     heap: List[Tuple[float, int]] = [(0.0, source)]
-    visited = np.zeros(net.num_vertices, dtype=bool)
+    pop, push = heapq.heappop, heapq.heappush
     while heap:
-        d, v = heapq.heappop(heap)
-        if visited[v]:
+        d, v = pop(heap)
+        # Pushes strictly lower dist[w], so the one live entry of a
+        # vertex is the one equal to its distance: skipping the others
+        # is the usual visited check.
+        if d > dist[v]:
             continue
-        visited[v] = True
-        for edge in net.out_edges(v):
-            cost = edge_cost(edge.edge_id)
-            if cost < 0:
-                raise ValueError("negative edge cost")
+        for w, cost in adjacency[v]:
             nd = d + cost
-            if nd < dist[edge.end]:
-                dist[edge.end] = nd
-                heapq.heappush(heap, (nd, edge.end))
-    return dist
+            if nd < dist[w]:
+                dist[w] = nd
+                push(heap, (nd, w))
+    return np.array(dist)
 
 
 def astar(net: RoadNetwork, source: int, target: int,

@@ -7,16 +7,20 @@ Supports the two geometric queries the system needs:
   end points matched on road segments"), and for map-matching candidate
   generation;
 * radius search — used by the HMM matcher to enumerate candidate segments
-  within a GPS error radius.
+  within a GPS error radius, one point at a time or a whole trajectory in
+  one numpy pass.
 
 Edges are binned into every grid cell their bounding box overlaps; queries
-expand rings of cells outward until a hit is guaranteed correct.
+expand rings of cells outward until a hit is guaranteed correct.  Radius
+queries cache each ``(cell, rings)`` neighbourhood as an edge-id array and
+project it against the network's per-edge arrays.
 """
 
 from __future__ import annotations
 
+import math
 from collections import defaultdict
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -41,9 +45,9 @@ class SpatialIndex:
         for edge in net.edges():
             for cell in self._edge_cells(edge.edge_id):
                 self._cells[cell].append(edge.edge_id)
-        # Per-edge segment geometry for batch projection; built lazily on
-        # the first radius query (point queries stay allocation-free).
-        self._geom: Optional[Tuple[np.ndarray, ...]] = None
+        # (cx, cy, rings) -> deduplicated edge ids of the cells within
+        # ``rings`` of (cx, cy), in ring order; filled by radius queries.
+        self._neighbourhoods: Dict[Tuple[int, int, int], np.ndarray] = {}
 
     def _cell_of(self, x: float, y: float) -> Tuple[int, int]:
         return (int((x - self.min_x) // self.cell_size),
@@ -53,8 +57,8 @@ class SpatialIndex:
         """Cell to start a search from; clamped so far-away query points
         still walk outward over the populated grid."""
         cx, cy = self._cell_of(x, y)
-        return (int(np.clip(cx, 0, self.cols - 1)),
-                int(np.clip(cy, 0, self.rows - 1)))
+        return (min(max(cx, 0), self.cols - 1),
+                min(max(cy, 0), self.rows - 1))
 
     def _edge_cells(self, edge_id: int) -> List[Tuple[int, int]]:
         a, b = self.net.edge_vector(edge_id)
@@ -105,57 +109,71 @@ class SpatialIndex:
         best.sort()
         return [(eid, dist, ratio) for dist, eid, ratio in best[:k]]
 
-    def project_batch(self, edge_ids: np.ndarray, x: float, y: float
+    def project_batch(self, edge_ids: np.ndarray, x, y
                       ) -> Tuple[np.ndarray, np.ndarray]:
         """Vectorised :meth:`RoadNetwork.project_point` over many edges.
 
-        Returns (distances, ratios) arrays aligned with ``edge_ids``,
-        bit-identical to per-edge scalar projection (same expression
-        order; two-term dots expand to the same ``x*x + y*y``).
+        ``x`` and ``y`` are one point or arrays aligned with
+        ``edge_ids``.  Returns (distances, ratios) arrays aligned with
+        ``edge_ids``, bit-identical to per-edge scalar projection (same
+        expression order; two-term dots expand to the same
+        ``x*x + y*y``).
         """
-        if self._geom is None:
-            num = self.net.num_edges
-            ax = np.empty(num)
-            ay = np.empty(num)
-            dx = np.empty(num)
-            dy = np.empty(num)
-            for eid in range(num):
-                a, b = self.net.edge_vector(eid)
-                ax[eid], ay[eid] = a
-                dx[eid], dy[eid] = b[0] - a[0], b[1] - a[1]
-            self._geom = (ax, ay, dx, dy, dx * dx + dy * dy)
-        ax, ay, dx, dy, seg_len_sq = self._geom
+        arr = self.net.arrays()
         e = np.asarray(edge_ids, dtype=np.int64)
-        eax, eay, edx, edy = ax[e], ay[e], dx[e], dy[e]
-        t = np.clip(((x - eax) * edx + (y - eay) * edy) / seg_len_sq[e],
+        eax, eay, edx, edy = arr.ax[e], arr.ay[e], arr.dx[e], arr.dy[e]
+        t = np.clip(((x - eax) * edx + (y - eay) * edy) / arr.seg_len_sq[e],
                     0.0, 1.0)
         dist = np.hypot(x - (eax + t * edx), y - (eay + t * edy))
         return dist, t
 
     def edges_within(self, x: float, y: float, radius: float
                      ) -> List[Tuple[int, float, float]]:
-        """All edges whose distance to (x, y) is at most ``radius``."""
+        """All edges whose distance to (x, y) is at most ``radius``,
+        nearest first (ties keep ring order)."""
+        _, eids, dists, ratios = self.edges_within_many([x], [y], radius)
+        return list(zip(eids.tolist(), dists.tolist(), ratios.tolist()))
+
+    def edges_within_many(self, xs: Sequence[float], ys: Sequence[float],
+                          radius: float
+                          ) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
+                                     np.ndarray]:
+        """:meth:`edges_within` for many points in one numpy pass.
+
+        Returns ``(counts, edge_ids, distances, ratios)``: point ``i``'s
+        hits are ``counts[i]`` consecutive entries, following those of
+        the points before it, in :meth:`edges_within` order.
+        """
         if radius < 0:
             raise ValueError("radius must be non-negative")
-        cx, cy = self._query_cell(x, y)
-        rings = int(np.ceil(radius / self.cell_size)) + 1
-        seen: set[int] = set()
-        eids: List[int] = []
-        for ring in range(rings + 1):
-            for cell in self._ring_cells(cx, cy, ring):
-                for eid in self._cells.get(cell, ()):
-                    if eid in seen:
-                        continue
-                    seen.add(eid)
-                    eids.append(eid)
-        if not eids:
-            return []
-        dists, ratios = self.project_batch(np.asarray(eids), x, y)
-        results = [(eid, float(d), float(r))
-                   for eid, d, r in zip(eids, dists, ratios)
-                   if d <= radius]
-        results.sort(key=lambda t: t[1])
-        return results
+        rings = math.ceil(radius / self.cell_size) + 1
+        hoods = [self._neighbourhood(*self._query_cell(x, y), rings)
+                 for x, y in zip(xs, ys)]
+        sizes = [len(hood) for hood in hoods]
+        owner = np.repeat(np.arange(len(hoods)), sizes)
+        eids = (np.concatenate(hoods) if hoods
+                else np.empty(0, dtype=np.int64))
+        dists, ratios = self.project_batch(
+            eids, np.asarray(xs, dtype=np.float64)[owner],
+            np.asarray(ys, dtype=np.float64)[owner])
+        keep = np.flatnonzero(dists <= radius)
+        # Owner first, then distance; lexsort is stable, so equal
+        # distances keep ring order.
+        keep = keep[np.lexsort((dists[keep], owner[keep]))]
+        counts = np.bincount(owner[keep], minlength=len(hoods))
+        return counts, eids[keep], dists[keep], ratios[keep]
+
+    def _neighbourhood(self, cx: int, cy: int, rings: int) -> np.ndarray:
+        key = (cx, cy, rings)
+        eids = self._neighbourhoods.get(key)
+        if eids is None:
+            ordered = dict.fromkeys(
+                eid for ring in range(rings + 1)
+                for cell in self._ring_cells(cx, cy, ring)
+                for eid in self._cells.get(cell, ()))
+            eids = np.fromiter(ordered, dtype=np.int64, count=len(ordered))
+            self._neighbourhoods[key] = eids
+        return eids
 
     def _ring_cells(self, cx: int, cy: int, ring: int
                     ) -> List[Tuple[int, int]]:

@@ -151,6 +151,34 @@ class TestChunkedParity:
             list(gen.generate_chunks(5, chunk_size=2))
 
 
+class TestRematchSpan:
+    def test_matching_runs_inside_match_span(self, monkeypatch):
+        from repro.mapmatching import batch
+        from repro.obs import Tracer
+        tracer = Tracer()
+        original = batch.match_many
+        open_spans = []
+
+        def spy(matcher, trajs, jobs=1):
+            open_spans.append(tracer.current().name)
+            return original(matcher, trajs, jobs=jobs)
+
+        monkeypatch.setattr(batch, "match_many", spy)
+        build(DatasetSpec(CITY, num_trips=12, num_days=1, chunk_size=6,
+                          rematch=True), tracer=tracer)
+        assert open_spans == ["datagen.match", "datagen.match"]
+        spans = [s for s in _walk(tracer.to_dict()["spans"])
+                 if s["name"] == "datagen.match"]
+        assert [s["attrs"]["trips"] for s in spans] == [6, 6]
+        assert all(0 <= s["attrs"]["matched"] <= 6 for s in spans)
+
+
+def _walk(spans):
+    for span in spans:
+        yield span
+        yield from _walk(span["children"])
+
+
 class TestSplitIndices:
     def test_matches_legacy_ratios(self):
         train_end, val_end = split_indices(100)

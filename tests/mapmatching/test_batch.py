@@ -5,6 +5,7 @@ vectorized-vs-reference Viterbi engines."""
 import numpy as np
 import pytest
 
+from repro.datagen import DatasetSpec, build
 from repro.mapmatching import (
     HMMConfig, HMMMapMatcher, LRUCache, MatchRequest, MatchResult,
     MatchingError, match_many,
@@ -43,6 +44,13 @@ def trajs(city):
     out.append(RawTrajectory([GPSPoint(first.x, first.y, 0.0),
                               GPSPoint(1.0e5 + 50.0, 1.0e5, 3.0)]))
     return out
+
+
+@pytest.fixture(scope="module")
+def mega_trips():
+    """Raw GPS of a small seeded mega-chengdu build."""
+    dataset = build(DatasetSpec("mega-chengdu", num_trips=8, num_days=1))
+    return dataset.net, [trip.raw for trip in dataset.trips]
 
 
 def _straight_path(net, seed):
@@ -124,6 +132,22 @@ class TestEngines:
             assert a.edge_ids == b.edge_ids
             assert [(p.enter_time, p.exit_time) for p in a.path] \
                 == [(p.enter_time, p.exit_time) for p in b.path]
+
+    def test_vectorized_matches_reference_on_city_trips(self, mega_trips):
+        """Realistic raw trips: curved multi-turn routes, dense
+        candidate columns, shared-vertex ties and repeated fixes at
+        stops (which the straight grid traces above never produce)."""
+        net, raws = mega_trips
+        vec = HMMMapMatcher(net, config=HMMConfig(engine="vectorized"))
+        ref = HMMMapMatcher(net, config=HMMConfig(engine="reference"))
+        for raw in raws:
+            a = vec.match(raw)
+            b = ref.match(raw)
+            assert a.edge_ids == b.edge_ids
+            assert [(p.enter_time, p.exit_time) for p in a.path] \
+                == [(p.enter_time, p.exit_time) for p in b.path]
+            assert (a.ratio_start, a.ratio_end) \
+                == (b.ratio_start, b.ratio_end)
 
     def test_unknown_engine_rejected(self):
         with pytest.raises(ValueError, match="engine"):
