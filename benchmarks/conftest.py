@@ -30,31 +30,6 @@ def bench_scale() -> float:
     return float(os.environ.get("REPRO_BENCH_SCALE", "1.0"))
 
 
-def bench_embed_engine() -> str:
-    """Walk/SGNS engine every benchmark model is built with.
-
-    ``REPRO_EMBED_ENGINE=reference`` reruns the suite on the scalar
-    oracle — useful to confirm a headline number is engine-independent.
-    """
-    engine = os.environ.get("REPRO_EMBED_ENGINE", "vectorized")
-    if engine not in ("vectorized", "reference"):
-        raise ValueError("REPRO_EMBED_ENGINE must be vectorized or "
-                         "reference")
-    return engine
-
-
-def bench_nn_engine() -> str:
-    """nn hot-path engine every benchmark model is built with.
-
-    ``REPRO_NN_ENGINE=reference`` reruns the suite on the per-op
-    oracles, mirroring ``REPRO_EMBED_ENGINE`` for the fused kernels.
-    """
-    engine = os.environ.get("REPRO_NN_ENGINE", "fast")
-    if engine not in ("fast", "reference"):
-        raise ValueError("REPRO_NN_ENGINE must be fast or reference")
-    return engine
-
-
 @dataclass
 class BenchParams:
     scale: float
@@ -88,9 +63,7 @@ def small_deepod_config(params: BenchParams, **overrides) -> DeepODConfig:
                 d5_m=32, d6_m=16, d7_m=32, d9_m=32, d_h=32, d_traf=16,
                 batch_size=64, epochs=params.epochs, seed=0,
                 aux_weight=0.3, lr_decay_epochs=4,
-                use_external_features=False,
-                embed_engine=bench_embed_engine(),
-                nn_engine=bench_nn_engine())
+                use_external_features=False)
     base.update(overrides)
     return DeepODConfig(**base)
 

@@ -7,9 +7,10 @@ Four measurements, one fail-closed JSON:
   process): once fully in RAM, once chunked to an on-disk dataset
   directory.  The chunked build's peak-RSS delta must stay under half
   the in-memory build's — the point of the out-of-core path.
-* **viterbi** — the vectorised Viterbi kernel vs the retained scalar
-  reference, timed over precomputed candidates (the padded lattice for
-  the kernel, its per-fix columns for the reference; candidate
+* **viterbi** — the vectorised Viterbi kernel vs the scalar oracle in
+  ``tests/oracles/mapmatching.py``, timed over precomputed candidates
+  (the padded lattice for the kernel, its per-fix columns for the
+  oracle; candidate
   generation is shared and excluded).  Floor 3x at full scale, 2x
   reduced; the decoded state sequences must be identical.
 * **parallel** — ``match_many`` at 4 workers vs serial.  CI boxes are
@@ -30,6 +31,7 @@ import os
 import subprocess
 import sys
 import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -41,6 +43,7 @@ from repro.datagen.pipeline import BENCH_DATAGEN_SCHEMA
 from repro.mapmatching import HMMMapMatcher, match_many
 from repro.mapmatching.candidates import candidate_lattice
 from repro.roadnet import grid_city
+from tests.oracles.mapmatching import viterbi_reference
 
 from .conftest import bench_scale, print_header
 
@@ -136,9 +139,10 @@ def test_datagen_pipeline_bench(tmp_path):
 
     def run_engine(name):
         states, best = [], None
-        fn, inputs = ((matcher._viterbi_vectorized, lattices)
-                      if name == "vectorized"
-                      else (matcher._viterbi_reference, columns))
+        if name == "vectorized":
+            fn, inputs = matcher._viterbi, lattices
+        else:
+            fn, inputs = partial(viterbi_reference, matcher), columns
         for _ in range(2):          # best-of-2: single-core jitter
             t0 = time.perf_counter()
             states = [fn(t.points, cands)

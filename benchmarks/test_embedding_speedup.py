@@ -1,8 +1,9 @@
-"""Embedding-engine speedup: alias-sampled lockstep vs scalar reference.
+"""Embedding-engine speedup: alias-sampled lockstep vs scalar oracle.
 
 The paper's efficiency study (Section 5.1 / Tables 5-6) charges embedding
-pre-training to DeepOD's offline cost; this bench measures the tentpole
-rewrite directly.  Both engines run the full pre-training pipeline —
+pre-training to DeepOD's offline cost; this bench measures the lockstep
+engine directly against the scalar walks and SGNS in
+``tests/oracles/embedding.py``.  Both run the full pre-training pipeline —
 node2vec walks, pair harvest, SGNS — on the line graph of a grid city,
 and the combined wall-time ratio must clear the floor: >= 10x at the
 default ``REPRO_BENCH_SCALE`` (>= 3x when the scale is reduced, where
@@ -19,12 +20,13 @@ from pathlib import Path
 import numpy as np
 
 from repro.embedding import (
-    SkipGramConfig, generate_node2vec_walks,
-    generate_node2vec_walks_reference, train_skipgram,
-    train_skipgram_reference,
+    SkipGramConfig, generate_node2vec_walks, train_skipgram,
 )
 from repro.roadnet import grid_city
 from repro.roadnet.linegraph import build_line_graph
+from tests.oracles.embedding import (
+    generate_node2vec_walks_reference, train_skipgram_reference,
+)
 
 from .conftest import bench_scale, print_header
 

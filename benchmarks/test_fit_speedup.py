@@ -4,9 +4,10 @@ The paper's efficiency study (Tables 5-6) charges model training to
 DeepOD's offline cost; this bench measures the fused nn engine directly.
 Both engines run the same same-seed short ``fit`` — fused LSTM
 unroll + im2col GEMM convolutions + single-node losses against the
-per-op oracles — and the wall-time ratio must clear the floor: >= 3x at
-the default ``REPRO_BENCH_SCALE`` (>= 2x when the scale is reduced,
-where fixed overheads eat into the ratio).
+per-op oracles of ``tests/oracles/nn.py`` (swapped in by
+``reference_engine()``) — and the wall-time ratio must clear the
+floor: >= 3x at the default ``REPRO_BENCH_SCALE`` (>= 2x when the
+scale is reduced, where fixed overheads eat into the ratio).
 
 Results land in ``BENCH_fit.json`` at the repo root (schema checked by
 ``repro.nn.validate_bench_fit``), including the per-phase
@@ -14,6 +15,7 @@ forward/backward/optimizer breakdown extracted from the trainer's trace
 spans.
 """
 
+import contextlib
 import json
 import time
 from pathlib import Path
@@ -22,6 +24,7 @@ from repro.core import DeepODConfig, DeepODTrainer, build_deepod
 from repro.datagen import DatasetSpec, build
 from repro.nn import validate_bench_fit
 from repro.obs import Tracer
+from tests.oracles.nn import reference_engine
 
 from .conftest import bench_scale, print_header
 
@@ -29,12 +32,12 @@ RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_fit.json"
 PHASES = ("forward", "backward", "optimizer")
 
 
-def _fit_config(nn_engine: str, epochs: int) -> DeepODConfig:
+def _fit_config(epochs: int) -> DeepODConfig:
     return DeepODConfig(
         d_s=32, d_t=16, d1_m=32, d2_m=16, d3_m=32, d4_m=16,
         d5_m=32, d6_m=16, d7_m=32, d9_m=32, d_h=32, d_traf=16,
         batch_size=64, epochs=epochs, seed=0, aux_weight=0.3,
-        use_external_features=False, nn_engine=nn_engine)
+        use_external_features=False)
 
 
 def _phase_seconds(tracer: Tracer) -> dict:
@@ -63,16 +66,18 @@ def _bench_engine(dataset, nn_engine: str, epochs: int,
     """
     best = None
     for _ in range(repeats):
-        model = build_deepod(dataset, _fit_config(nn_engine, epochs))
-        tracer = Tracer()
-        trainer = DeepODTrainer(model, dataset, eval_every=0,
-                                tracer=tracer)
-        t0 = time.perf_counter()
-        trainer.fit(track_validation=False)
-        fit_s = time.perf_counter() - t0
-        stats = {"fit_s": fit_s}
-        stats.update(_phase_seconds(tracer))
-        stats["val_mae"] = trainer.validation_mae()
+        with (reference_engine() if nn_engine == "reference"
+              else contextlib.nullcontext()):
+            model = build_deepod(dataset, _fit_config(epochs))
+            tracer = Tracer()
+            trainer = DeepODTrainer(model, dataset, eval_every=0,
+                                    tracer=tracer)
+            t0 = time.perf_counter()
+            trainer.fit(track_validation=False)
+            fit_s = time.perf_counter() - t0
+            stats = {"fit_s": fit_s}
+            stats.update(_phase_seconds(tracer))
+            stats["val_mae"] = trainer.validation_mae()
         if best is None or fit_s < best["fit_s"]:
             best = stats
     return best

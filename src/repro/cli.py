@@ -6,7 +6,7 @@ Subcommands::
     python -m repro.cli datagen --city mega-chengdu --storage disk \\
                                 --out data/mega --chunk 4096 --verify
     python -m repro.cli embed   --city mini-chengdu --graph line \\
-                                --engine vectorized --out ws.npz
+                                --out ws.npz
     python -m repro.cli train   --city mini-chengdu --trips 2000 \\
                                 --epochs 8 --save model/
     python -m repro.cli serve   --artifact model/ --port 8321
@@ -17,8 +17,6 @@ Subcommands::
                                 --deploy deploy/ --shift-factor 1.8
     python -m repro.cli compare --city mini-xian --trips 2000 \\
                                 --methods TEMP LR GBM DeepOD
-    python -m repro.cli sweep-w --city mini-chengdu --trips 2000 \\
-                                --jobs 4 --out sweep_w.json
     python -m repro.cli lint    src tests benchmarks
     python -m repro.cli exp run     --runs-dir runs/ --checkpoint-every 50
     python -m repro.cli exp sweep   --runs-dir runs/ --jobs 4 \\
@@ -64,7 +62,7 @@ from .core import (
 )
 from .datagen import DatasetSpec, PRESETS, build, strip_trajectories
 from .eval import format_table, mape, run_comparison
-from .nn import NN_ENGINES, default_nn_engine, save_state
+from .nn import save_state
 
 
 def _make_tracer(args):
@@ -101,8 +99,6 @@ def _default_config(args) -> DeepODConfig:
         d5_m=32, d6_m=16, d7_m=32, d9_m=32, d_h=32, d_traf=16,
         epochs=args.epochs, batch_size=64, aux_weight=args.aux_weight,
         lr_decay_epochs=4, use_external_features=args.external,
-        embed_engine=getattr(args, "embed_engine", "vectorized"),
-        nn_engine=getattr(args, "nn_engine", None) or default_nn_engine(),
         seed=args.seed)
 
 
@@ -180,8 +176,7 @@ def cmd_datagen(args) -> int:
 
 def cmd_embed(args) -> int:
     """Pre-train Ws/Wt standalone (Algorithm 1 lines 1-4) and report
-    timings — the quickest way to compare the vectorized engine against
-    the scalar reference on a real graph."""
+    timings."""
     import time
 
     from .embedding import EmbeddingConfig, embed_graph
@@ -191,8 +186,7 @@ def cmd_embed(args) -> int:
     tracer = _make_tracer(args)
     config = EmbeddingConfig(
         method=args.method, dim=args.dim, seed=args.seed,
-        num_walks=args.num_walks, walk_length=args.walk_length,
-        engine=args.engine)
+        num_walks=args.num_walks, walk_length=args.walk_length)
     if args.graph == "line":
         dataset = build(DatasetSpec(args.city, num_trips=args.trips,
                                     num_days=args.days), tracer=tracer)
@@ -211,7 +205,7 @@ def cmd_embed(args) -> int:
                                       embedding=config, tracer=tracer)
     elapsed = time.perf_counter() - start
     print(f"embedded {matrix.shape[0]} nodes -> dim {matrix.shape[1]} "
-          f"with {args.method}/{args.engine} in {elapsed:.2f}s")
+          f"with {args.method} in {elapsed:.2f}s")
     if args.out:
         np.savez(args.out, embedding=matrix)
         print(f"embedding written to {args.out}")
@@ -476,32 +470,6 @@ def cmd_compare(args) -> int:
     return 0
 
 
-def cmd_sweep_w(args) -> int:
-    """Fig 9's loss-weight sweep, rebuilt on the sweep executor: the
-    dataset is built once, the points run in parallel (``--jobs``), and
-    ``--out`` captures a machine-readable results JSON."""
-    from .experiments import SweepSpec, run_sweep
-    spec = SweepSpec(
-        base_config=_default_config(args),
-        grid={"aux_weight": list(args.weights)},
-        seeds=(args.seed,), cities=(args.city,),
-        trips=args.trips, days=args.days, eval_every=0)
-    sweep = run_sweep(spec, jobs=args.jobs)
-    print(f"{'w':>6}{'MAPE(%)':>10}")
-    for result in sweep.results:
-        w = result["overrides"]["aux_weight"]
-        if result["status"] == "completed":
-            print(f"{w:6.1f}{100 * result['metrics']['test_mape']:10.2f}")
-        else:
-            print(f"{w:6.1f}{'FAILED':>10}")
-    if sweep.failed:
-        print(f"{len(sweep.failed)} point(s) failed", file=sys.stderr)
-    if args.out:
-        sweep.to_json(args.out)
-        print(f"\nresults written to {args.out}")
-    return 0 if not sweep.failed else 1
-
-
 def cmd_lint(args) -> int:
     """reprolint over the given paths (exit 0 clean, 1 findings, 2 usage)."""
     from .analysis import (
@@ -574,9 +542,6 @@ def _exp_config(args) -> "DeepODConfig":
         config = paper_scale().with_overrides(
             epochs=args.epochs, aux_weight=args.aux_weight,
             use_external_features=args.external,
-            embed_engine=getattr(args, "embed_engine", "vectorized"),
-            nn_engine=getattr(args, "nn_engine", None)
-            or default_nn_engine(),
             seed=args.seed)
     return config
 
@@ -743,18 +708,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--aux-weight", type=float, default=0.3,
                        dest="aux_weight")
         p.add_argument("--external", action="store_true")
-        p.add_argument("--embed-engine", default="vectorized",
-                       choices=["vectorized", "reference"],
-                       dest="embed_engine",
-                       help="walk/SGNS implementation for embedding "
-                            "pre-training")
-        p.add_argument("--nn-engine", default=None,
-                       choices=list(NN_ENGINES),
-                       dest="nn_engine",
-                       help="nn hot-path implementation: fused batched "
-                            "kernels (fast) or per-op oracles "
-                            "(reference); default honours "
-                            "REPRO_NN_ENGINE, then fast")
         p.add_argument("--seed", type=int, default=0)
 
     def obs(p):
@@ -813,8 +766,6 @@ def build_parser() -> argparse.ArgumentParser:
                               "temporal slot graph")
     p_embed.add_argument("--method", default="node2vec",
                          choices=["node2vec", "deepwalk", "line"])
-    p_embed.add_argument("--engine", default="vectorized",
-                         choices=["vectorized", "reference"])
     p_embed.add_argument("--dim", type=int, default=32)
     p_embed.add_argument("--num-walks", type=int, default=4,
                          dest="num_walks")
@@ -959,17 +910,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_cmp.add_argument("--out", default="",
                        help="write a JSON report to this path")
     p_cmp.set_defaults(func=cmd_compare)
-
-    p_sweep = sub.add_parser("sweep-w",
-                             help="auxiliary-loss weight sweep (Fig 9)")
-    common(p_sweep)
-    p_sweep.add_argument("--weights", nargs="+", type=float,
-                         default=[0.1, 0.3, 0.5, 0.7, 0.9])
-    p_sweep.add_argument("--jobs", type=int, default=1,
-                         help="worker processes for the sweep")
-    p_sweep.add_argument("--out", default="",
-                         help="write machine-readable results JSON here")
-    p_sweep.set_defaults(func=cmd_sweep_w)
 
     p_lint = sub.add_parser(
         "lint", help="reprolint: project-invariant static analysis")

@@ -9,10 +9,13 @@ harness can restore the paper-scale sizes via ``paper_scale()``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
-from typing import Optional
+from dataclasses import dataclass, fields, replace
+from typing import Any, Mapping, Optional
 
-from ..nn.engine import NN_ENGINES, default_nn_engine
+# Keys older config.json files may carry.  They named the oracle-vs-
+# production switches of the embedding and nn layers, which now have a
+# single implementation, so loading ignores them.
+LEGACY_CONFIG_KEYS = ("nn_engine", "embed_engine")
 
 
 @dataclass
@@ -68,15 +71,6 @@ class DeepODConfig:
     # Embedding initialisation variants (Table 7).
     init_road_embedding: str = "node2vec"  # node2vec | onehot(R-one)
     init_slot_embedding: str = "node2vec"  # node2vec | onehot(T-one)
-    # Walk/SGNS implementation for the pre-training stage: the
-    # alias-sampled lockstep engine (default) or the scalar reference
-    # oracle it is tested against.
-    embed_engine: str = "vectorized"       # vectorized | reference
-    # Hot-path engine for the nn layers (LSTM/GRU unrolls, Conv2d,
-    # BatchNorm2d, losses): the fused batched kernels (default) or the
-    # per-op reference oracles they are tested against.  The default
-    # honours REPRO_NN_ENGINE, mirroring the embed_engine knob.
-    nn_engine: str = field(default_factory=default_nn_engine)  # fast | reference
     temporal_graph: str = "weekly"         # weekly | daily(T-day)
     use_timestamp_directly: bool = False   # True => T-stamp
     # Sequence model of the Trajectory Encoder.  The paper instantiates
@@ -105,10 +99,6 @@ class DeepODConfig:
         if self.init_slot_embedding not in ("node2vec", "deepwalk", "line",
                                             "onehot"):
             raise ValueError("unknown slot-embedding initialisation")
-        if self.embed_engine not in ("vectorized", "reference"):
-            raise ValueError("embed_engine must be vectorized or reference")
-        if self.nn_engine not in NN_ENGINES:
-            raise ValueError("nn_engine must be one of " + "|".join(NN_ENGINES))
         if self.temporal_graph not in ("weekly", "daily"):
             raise ValueError("temporal_graph must be weekly or daily")
         if self.sequence_encoder not in ("lstm", "gru", "mean"):
@@ -118,6 +108,21 @@ class DeepODConfig:
     def d8_m(self) -> int:
         """Output width of MLP1; tied to d4_m (Section 4.6)."""
         return self.d4_m
+
+    @classmethod
+    def from_dict(cls, payload: Mapping[str, Any]) -> "DeepODConfig":
+        """Rebuild a config saved as ``dataclasses.asdict`` JSON.
+
+        Drops :data:`LEGACY_CONFIG_KEYS` and rejects any other unknown
+        field; raises ``ValueError`` (or ``TypeError`` for a malformed
+        value) so each caller can wrap it in its own error type.
+        """
+        payload = {k: v for k, v in payload.items()
+                   if k not in LEGACY_CONFIG_KEYS}
+        unknown = set(payload) - {f.name for f in fields(cls)}
+        if unknown:
+            raise ValueError(f"unknown fields {sorted(unknown)}")
+        return cls(**payload)
 
     def with_overrides(self, **kwargs) -> "DeepODConfig":
         """A copy with some fields replaced (used by sweeps and variants)."""

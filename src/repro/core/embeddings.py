@@ -54,7 +54,6 @@ class RoadSegmentEmbedding(Embedding):
     def pretrained(cls, net: RoadNetwork,
                    trajectories: Sequence[Sequence[int]],
                    dim: int, method: str = "node2vec", seed: int = 0,
-                   engine: str = "vectorized",
                    rng: Optional[np.random.Generator] = None,
                    tracer: Optional[Tracer] = None
                    ) -> "RoadSegmentEmbedding":
@@ -62,8 +61,7 @@ class RoadSegmentEmbedding(Embedding):
 
         ``method='onehot'`` skips pre-training (the R-one ablation): the
         matrix keeps its random initialisation, which plays the role of
-        an untrained one-hot-factorised encoding.  ``engine`` selects the
-        alias-sampled lockstep walker (default) or the scalar reference.
+        an untrained one-hot-factorised encoding.
         """
         tracer = tracer or NULL_TRACER
         emb = cls(net.num_edges, dim, rng=rng)
@@ -71,7 +69,7 @@ class RoadSegmentEmbedding(Embedding):
             with tracer.span("embed.line_graph"):
                 line = build_line_graph(net, trajectories)
             matrix = embed_graph(line, EmbeddingConfig(
-                method=method, dim=dim, seed=seed, engine=engine),
+                method=method, dim=dim, seed=seed),
                 tracer=tracer)
             emb.load_pretrained(rescale_pretrained(matrix))
         return emb
@@ -113,7 +111,7 @@ class TimeSlotEmbedding(Embedding):
     @classmethod
     def pretrained(cls, slot_config: TimeSlotConfig, dim: int,
                    graph_kind: str = "weekly", method: str = "node2vec",
-                   seed: int = 0, engine: str = "vectorized",
+                   seed: int = 0,
                    rng: Optional[np.random.Generator] = None,
                    tracer: Optional[Tracer] = None
                    ) -> "TimeSlotEmbedding":
@@ -127,7 +125,7 @@ class TimeSlotEmbedding(Embedding):
                 slot_config, graph_kind,
                 embedding=EmbeddingConfig(
                     method=method, dim=dim, seed=seed,
-                    num_walks=2, walk_length=16, engine=engine),
+                    num_walks=2, walk_length=16),
                 tracer=tracer)
             emb.load_pretrained(rescale_pretrained(matrix))
         return emb

@@ -40,10 +40,10 @@ class TimeIntervalEncoder(Module):
         super().__init__()
         self.config = config
         self.slot_embedding = slot_embedding
-        self.resnet = IntervalResNetBlock(rng=rng, engine=config.nn_engine)
+        self.resnet = IntervalResNetBlock(rng=rng)
         # Eq. 11: input is Z5 (d_t) concatenated with the two remainders.
         self.mlp = TwoLayerMLP(config.d_t + 2, config.d1_m, config.d2_m,
-                               rng=rng, engine=config.nn_engine)
+                               rng=rng)
 
     @property
     def slot_config(self) -> TimeSlotConfig:
@@ -87,11 +87,6 @@ class TimeIntervalEncoder(Module):
         z4 = self.resnet(dt_tensor, mask=row_mask)        # Eq. 5-8
         z4 = z4.reshape(batch, max_len, d_t)
         # Masked average pool over the slot axis (Eq. 10).
-        if self.config.nn_engine == "fast":
-            z5 = masked_mean_pool(z4, mask)
-        else:
-            mask_t = Tensor(mask[:, :, None])
-            counts_t = Tensor(mask.sum(axis=1, keepdims=True))
-            z5 = (z4 * mask_t).sum(axis=1) / counts_t
+        z5 = masked_mean_pool(z4, mask)
         # Eq. 11 with the constant remainders fused in as the MLP tail.
         return self.mlp.forward_with_tail(z5, remainders)

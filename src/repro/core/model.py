@@ -20,8 +20,7 @@ import numpy as np
 
 from ..analysis.contracts import shaped
 from ..nn import (
-    Module, Tensor, TwoLayerMLP, euclidean_loss, euclidean_loss_fused,
-    mae_loss, mae_loss_fused,
+    Module, Tensor, TwoLayerMLP, euclidean_loss_fused, mae_loss_fused,
 )
 from ..trajectory.model import MatchedTrajectory, ODInput
 from .config import DeepODConfig
@@ -48,8 +47,7 @@ class TravelTimeEstimatorHead(Module):
                  rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.config = config
-        self.mlp2 = TwoLayerMLP(config.d8_m, config.d9_m, 1, rng=rng,
-                                engine=config.nn_engine)
+        self.mlp2 = TwoLayerMLP(config.d8_m, config.d9_m, 1, rng=rng)
 
     @shaped("(B, config.d8_m) -> (B, 1)")
     def forward(self, code: Tensor) -> Tensor:
@@ -125,20 +123,18 @@ class DeepOD(Module):
                         speed_matrices: Optional[np.ndarray] = None
                         ) -> DeepODLosses:
         """Algorithm 1 lines 7-12 for one mini-batch."""
-        fast = self.config.nn_engine == "fast"
         code = self.encode_od(ods, speed_matrices)
         pred = self.estimator(code)
         targets = self._normalize(
             np.asarray(travel_times, dtype=float))[:, None]
-        main = (mae_loss_fused if fast else mae_loss)(pred, Tensor(targets))
+        main = mae_loss_fused(pred, Tensor(targets))
 
         w = self.config.aux_weight
         use_aux = (self.trajectory_encoder is not None and w > 0.0
                    and all(t is not None for t in trajectories))
         if use_aux:
             stcode = self.encode_trajectories(trajectories)
-            aux = (euclidean_loss_fused if fast else euclidean_loss)(
-                code, stcode) * self.config.aux_scale
+            aux = euclidean_loss_fused(code, stcode) * self.config.aux_scale
             total = aux * w + main * (1.0 - w)
             aux_val = aux.item()
         else:

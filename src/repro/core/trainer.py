@@ -38,12 +38,11 @@ def build_deepod(dataset: TaxiDataset, config: Optional[DeepODConfig] = None,
     train_trajs = [t.trajectory.edge_ids for t in dataset.split.train
                    if t.trajectory is not None]
     with tracer.span("pretrain.road_embedding",
-                     method=config.init_road_embedding,
-                     engine=config.embed_engine, dim=config.d_s):
+                     method=config.init_road_embedding, dim=config.d_s):
         road_emb = RoadSegmentEmbedding.pretrained(
             dataset.net, train_trajs, config.d_s,
             method=config.init_road_embedding, seed=config.seed,
-            engine=config.embed_engine, rng=rng, tracer=tracer)
+            rng=rng, tracer=tracer)
     with tracer.span("pretrain.slot_embedding",
                      method=config.init_slot_embedding,
                      graph=config.temporal_graph, dim=config.d_t):
@@ -51,7 +50,7 @@ def build_deepod(dataset: TaxiDataset, config: Optional[DeepODConfig] = None,
             dataset.slot_config, config.d_t,
             graph_kind=config.temporal_graph,
             method=config.init_slot_embedding, seed=config.seed,
-            engine=config.embed_engine, rng=rng, tracer=tracer)
+            rng=rng, tracer=tracer)
     return DeepOD(config, road_emb, slot_emb, rng=rng)
 
 
@@ -205,8 +204,7 @@ class DeepODTrainer(Instrumented):
         tracer = self.tracer
         with tracer.span("train.fit", epochs=epochs,
                          batch_size=cfg.batch_size,
-                         train_size=len(train),
-                         nn_engine=cfg.nn_engine):
+                         train_size=len(train)):
             while self._epoch < epochs and not done:
                 with tracer.span("train.epoch",
                                  epoch=self._epoch) as epoch_span:

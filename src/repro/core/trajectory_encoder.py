@@ -25,7 +25,7 @@ import numpy as np
 from ..analysis.contracts import shaped
 from ..nn import (
     GRU, LSTM, Linear, Module, Tensor, TwoLayerMLP, concat,
-    masked_mean_pool, resolve_nn_engine, sequence_mask,
+    masked_mean_pool, sequence_mask,
 )
 from ..trajectory.model import MatchedTrajectory
 from .config import DeepODConfig
@@ -41,12 +41,10 @@ class MeanSequenceEncoder(Module):
     """
 
     def __init__(self, input_size: int, hidden_size: int,
-                 rng: Optional[np.random.Generator] = None,
-                 engine: Optional[str] = None):
+                 rng: Optional[np.random.Generator] = None):
         super().__init__()
         self.proj = Linear(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
-        self.engine = resolve_nn_engine(engine)
 
     @shaped("(B, T, D), _ -> _, (B, hidden_size)")
     def forward(self, x: Tensor, lengths=None):
@@ -55,12 +53,7 @@ class MeanSequenceEncoder(Module):
             lengths = [steps] * batch
         lengths = np.asarray(lengths, dtype=np.int64)
         mask = sequence_mask(lengths, steps).astype(x.dtype)
-        if self.engine == "fast":
-            pooled = masked_mean_pool(x, mask)
-        else:
-            counts = Tensor(mask.sum(axis=1, keepdims=True))
-            pooled = (x * Tensor(mask[:, :, None])).sum(axis=1) / counts
-        h = self.proj(pooled).tanh()
+        h = self.proj(masked_mean_pool(x, mask)).tanh()
         return None, h
 
 
@@ -77,17 +70,14 @@ class TrajectoryEncoder(Module):
         self.interval_encoder = interval_encoder
         input_size = config.d2_m + config.d_s      # D^st = [tcode, D^s]
         if config.sequence_encoder == "lstm":
-            self.lstm = LSTM(input_size, config.d_h, rng=rng,
-                             engine=config.nn_engine)
+            self.lstm = LSTM(input_size, config.d_h, rng=rng)
         elif config.sequence_encoder == "gru":
-            self.lstm = GRU(input_size, config.d_h, rng=rng,
-                            engine=config.nn_engine)
+            self.lstm = GRU(input_size, config.d_h, rng=rng)
         else:
             self.lstm = MeanSequenceEncoder(input_size, config.d_h,
-                                            rng=rng,
-                                            engine=config.nn_engine)
+                                            rng=rng)
         self.mlp = TwoLayerMLP(config.d_h + 2, config.d3_m, config.d4_m,
-                               rng=rng, engine=config.nn_engine)
+                               rng=rng)
 
     @shaped("_ -> (B, config.d4_m)")
     def forward(self, trajectories: Sequence[MatchedTrajectory]) -> Tensor:
@@ -126,7 +116,7 @@ class TrajectoryEncoder(Module):
         ratios = np.array([[t.ratio_start, t.ratio_end]
                            for t in trajectories])
 
-        if isinstance(self.lstm, LSTM) and self.lstm.engine == "fast":
+        if isinstance(self.lstm, LSTM):
             # Hot path: concat + gather + unroll + last-step slice as
             # one fused node (Eq. 12-16).
             h_n = self.lstm.encode_spans(tcodes, scodes, index_map,

@@ -7,31 +7,26 @@ from the unigram^{3/4} distribution.  Gradients are applied with plain SGD
 and a linearly decaying learning rate, matching the reference
 implementations closely enough for initialisation purposes.
 
-Two trainers:
+``train_skipgram`` harvests pairs with sliding-window index arithmetic
+(one numpy op per window offset instead of a Python triple loop); negatives
+come from an :class:`~.alias.AliasTable` over the noise distribution (O(1)
+per draw instead of ``rng.choice(p=...)`` rebuilding a CDF) and are shared
+within blocks of pairs so the negative term becomes batched GEMM;
+parameters live in one float32 buffer updated by a single sort +
+``reduceat`` segment-sum scatter per chunk.  Updates are applied in chunks
+of ``max(batch_size, 8192)`` pairs with the same endpoint-matched linear
+lr decay.
 
-* ``train_skipgram`` — the fast path.  Pairs are harvested with
-  sliding-window index arithmetic (one numpy op per window offset instead
-  of a Python triple loop); negatives come from an
-  :class:`~.alias.AliasTable` over the noise distribution (O(1) per draw
-  instead of ``rng.choice(p=...)`` rebuilding a CDF) and are shared within
-  blocks of pairs so the negative term becomes batched GEMM; parameters
-  live in one float32 buffer updated by a single sort + ``reduceat``
-  segment-sum scatter per chunk.  Updates are applied in chunks of
-  ``max(batch_size, 8192)`` pairs with the same endpoint-matched linear
-  lr decay.
-* ``train_skipgram_reference`` — the original scalar-harvest /
-  ``rng.choice`` / ``np.add.at`` implementation, retained as the
-  behavioural oracle for equivalence tests and the speedup benchmark.
-
-Both optimise the same objective in expectation; their outputs are
-statistically interchangeable downstream (tested via same-seed DeepOD
-smoke comparisons), not bitwise equal.
+The scalar-harvest / ``rng.choice`` / ``np.add.at`` trainer it replaced is
+the oracle in ``tests/oracles/embedding.py``.  Both optimise the same
+objective in expectation; their outputs are statistically interchangeable
+downstream (tested via same-seed DeepOD comparisons), not bitwise equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
@@ -94,23 +89,6 @@ def build_pairs(walks: Sequence[Sequence[int]], window: int) -> np.ndarray:
     if not chunks:
         raise ValueError("no training pairs: walks too short?")
     return np.concatenate(chunks, axis=0)
-
-
-def build_pairs_reference(walks: Sequence[Sequence[int]], window: int
-                          ) -> np.ndarray:
-    """Scalar pair harvest (the original triple loop)."""
-    pairs: List[Tuple[int, int]] = []
-    for walk in walks:
-        n = len(walk)
-        for i, center in enumerate(walk):
-            lo = max(0, i - window)
-            hi = min(n, i + window + 1)
-            for j in range(lo, hi):
-                if j != i:
-                    pairs.append((center, walk[j]))
-    if not pairs:
-        raise ValueError("no training pairs: walks too short?")
-    return np.asarray(pairs, dtype=np.int64)
 
 
 def unigram_distribution(walks: Sequence[Sequence[int]], num_nodes: int,
@@ -269,64 +247,6 @@ def _sgns_chunk_fast(params: np.ndarray, num_nodes: int, batch: np.ndarray,
             ctx_idx = np.concatenate([centers, contexts])
             ctx_upd = np.concatenate([grad_center, grad_pos])
         _scatter_add(params, ctx_idx, ctx_upd, np.float32(-lr))
-
-
-def train_skipgram_reference(walks: Sequence[Sequence[int]], num_nodes: int,
-                             config: Optional[SkipGramConfig] = None,
-                             rng: np.random.Generator = None
-                             ) -> np.ndarray:
-    """Original scalar-harvest / ``rng.choice`` / ``np.add.at`` SGNS."""
-    config = config or SkipGramConfig()
-    rng = require_generator(rng, "train_skipgram_reference")
-    pairs = build_pairs_reference(walks, config.window)
-    noise = unigram_distribution(walks, num_nodes)
-
-    center_emb = (rng.random((num_nodes, config.dim)) - 0.5) / config.dim
-    context_emb = np.zeros((num_nodes, config.dim))
-
-    total_steps = config.epochs * int(np.ceil(len(pairs) / config.batch_size))
-    step = 0
-    for _ in range(config.epochs):
-        order = rng.permutation(len(pairs))
-        for lo in range(0, len(pairs), config.batch_size):
-            batch = pairs[order[lo:lo + config.batch_size]]
-            lr = max(config.min_lr,
-                     config.lr * (1.0 - step / max(total_steps, 1)))
-            _sgns_step_reference(center_emb, context_emb, batch, noise,
-                                 config.negatives, lr, rng)
-            step += 1
-    return center_emb
-
-
-def _sgns_step_reference(center_emb: np.ndarray, context_emb: np.ndarray,
-                         batch: np.ndarray, noise: np.ndarray,
-                         negatives: int, lr: float,
-                         rng: np.random.Generator) -> None:
-    centers = batch[:, 0]
-    contexts = batch[:, 1]
-    b = len(batch)
-    c_vecs = center_emb[centers]                       # (B, D)
-
-    # Positive examples.
-    pos_vecs = context_emb[contexts]
-    pos_score = _sigmoid(np.sum(c_vecs * pos_vecs, axis=1))
-    pos_coeff = (pos_score - 1.0)[:, None]             # d/dx of -log sigma
-    grad_center = pos_coeff * pos_vecs
-    grad_pos = pos_coeff * c_vecs
-    np.add.at(context_emb, contexts, -lr * grad_pos)
-
-    # Negative examples.
-    if negatives > 0:
-        neg = rng.choice(len(noise), size=(b, negatives), p=noise)
-        neg_vecs = context_emb[neg]                    # (B, K, D)
-        neg_score = _sigmoid(np.einsum("bd,bkd->bk", c_vecs, neg_vecs))
-        neg_coeff = neg_score[:, :, None]
-        grad_center += np.einsum("bkd->bd", neg_coeff * neg_vecs)
-        grad_neg = neg_coeff * c_vecs[:, None, :]
-        np.add.at(context_emb, neg.reshape(-1),
-                  -lr * grad_neg.reshape(b * negatives, -1))
-
-    np.add.at(center_emb, centers, -lr * grad_center)
 
 
 def _sigmoid(x: np.ndarray) -> np.ndarray:

@@ -6,28 +6,25 @@ Leskovec 2016].  The paper uses these walks over (a) the line graph of the
 road network, with trajectory co-occurrence weights steering transition
 probabilities, and (b) the weekly temporal graph.
 
-Two engines per walk type:
+``generate_walks`` / ``generate_node2vec_walks`` run a **lockstep**
+engine: all walks advance one step per numpy operation.  First-order
+transitions draw from per-node alias tables (O(1) per walker per step);
+node2vec's second-order p/q bias is applied by rejection sampling against
+the max-bias envelope ``max(1, 1/p, 1/q)`` (KnightKing-style): propose a
+first-order step, accept with probability ``bias / envelope``, retry the
+rejected walkers.  Walkers whose current node is a sink retire from the
+frontier, preserving the variable-length walk semantics.
 
-* ``generate_walks`` / ``generate_node2vec_walks`` — the **lockstep**
-  engine: all walks advance one step per numpy operation.  First-order
-  transitions draw from per-node alias tables (O(1) per walker per step);
-  node2vec's second-order p/q bias is applied by rejection sampling against
-  the max-bias envelope ``max(1, 1/p, 1/q)`` (KnightKing-style): propose a
-  first-order step, accept with probability ``bias / envelope``, retry the
-  rejected walkers.  Walkers whose current node is a sink retire from the
-  frontier, preserving the variable-length walk semantics.
-* ``generate_walks_reference`` / ``generate_node2vec_walks_reference`` —
-  the original scalar implementations, kept as the behavioural oracle for
-  equivalence tests and the speedup benchmark.
-
-Both engines draw from the same per-start distribution over walks; only
-the draw *order* from the RNG stream differs, so same-seed outputs are
-engine-internally deterministic but not bitwise identical across engines.
+The scalar one-``rng.choice``-per-step walks this engine replaced are the
+oracles in ``tests/oracles/embedding.py``.  Both draw from the same
+per-start distribution over walks; only the draw *order* from the RNG
+stream differs, so same-seed outputs are deterministic but not bitwise
+identical to the oracle's.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import List
 
 import numpy as np
 
@@ -48,28 +45,6 @@ def require_generator(rng, owner: str) -> np.random.Generator:
             f"{type(rng).__name__}); pass np.random.default_rng(seed)")
     return rng
 
-
-def weighted_choice(rng: np.random.Generator, items: Sequence[int],
-                    weights: Sequence[float]) -> int:
-    """Sample one item proportionally to non-negative weights.
-
-    All-zero weights fall back to a uniform draw (every item weight 1);
-    NaN or negative weights raise — both walk types share this contract.
-    """
-    w = np.asarray(weights, dtype=float)
-    if not np.isfinite(w).all():
-        raise ValueError("weights must be finite (got NaN/inf)")
-    if (w < 0).any():
-        raise ValueError("weights must be non-negative")
-    total = w.sum()
-    if total <= 0:
-        # All-zero weights: uniform over the items.
-        return int(items[rng.integers(len(items))])
-    return int(items[rng.choice(len(items), p=w / total)])
-
-
-# ---------------------------------------------------------------------------
-# Lockstep engine.
 
 def _shuffled_starts(num_nodes: int, num_walks: int,
                      rng: np.random.Generator) -> np.ndarray:
@@ -182,87 +157,6 @@ def generate_node2vec_walks(graph: WeightedDigraph, num_walks: int,
             walks[undecided[accept], t] = cand[accept]
             undecided = undecided[~accept]
     return _rows_to_walks(walks)
-
-
-# ---------------------------------------------------------------------------
-# Reference (scalar) engine — the behavioural oracle.
-
-def generate_walks_reference(graph: WeightedDigraph, num_walks: int,
-                             walk_length: int,
-                             rng: np.random.Generator = None
-                             ) -> List[List[int]]:
-    """Scalar DeepWalk-style walks: one ``rng.choice`` per step."""
-    _validate(num_walks, walk_length)
-    rng = require_generator(rng, "generate_walks_reference")
-    walks: List[List[int]] = []
-    nodes = np.arange(graph.num_nodes)
-    for _ in range(num_walks):
-        rng.shuffle(nodes)
-        for start in nodes:
-            walk = [int(start)]
-            while len(walk) < walk_length:
-                nbrs = graph.neighbors(walk[-1])
-                if not nbrs:
-                    break
-                items = [v for v, _ in nbrs]
-                weights = [w for _, w in nbrs]
-                walk.append(weighted_choice(rng, items, weights))
-            walks.append(walk)
-    return walks
-
-
-def generate_node2vec_walks_reference(
-        graph: WeightedDigraph, num_walks: int, walk_length: int,
-        p: float = 1.0, q: float = 1.0,
-        rng: np.random.Generator = None) -> List[List[int]]:
-    """Scalar node2vec walks: per-step biased ``rng.choice``."""
-    _validate(num_walks, walk_length)
-    if p <= 0 or q <= 0:
-        raise ValueError("p and q must be positive")
-    rng = require_generator(rng, "generate_node2vec_walks_reference")
-    # Neighbour-set cache for the prev-adjacency test.
-    nbr_sets: Dict[int, set] = {}
-
-    def neighbors_of(u: int) -> set:
-        if u not in nbr_sets:
-            nbr_sets[u] = {v for v, _ in graph.neighbors(u)}
-        return nbr_sets[u]
-
-    walks: List[List[int]] = []
-    nodes = np.arange(graph.num_nodes)
-    for _ in range(num_walks):
-        rng.shuffle(nodes)
-        for start in nodes:
-            walk = [int(start)]
-            while len(walk) < walk_length:
-                cur = walk[-1]
-                nbrs = graph.neighbors(cur)
-                if not nbrs:
-                    break
-                raw = [w for _, w in nbrs]
-                if sum(raw) <= 0:
-                    # All-zero edge weights: uniform base, like the
-                    # first-order fallback — the p/q bias still applies.
-                    raw = [1.0] * len(nbrs)
-                if len(walk) == 1:
-                    items = [v for v, _ in nbrs]
-                    weights = raw
-                else:
-                    prev = walk[-2]
-                    prev_nbrs = neighbors_of(prev)
-                    items, weights = [], []
-                    for (v, _), w in zip(nbrs, raw):
-                        if v == prev:
-                            bias = 1.0 / p
-                        elif v in prev_nbrs:
-                            bias = 1.0
-                        else:
-                            bias = 1.0 / q
-                        items.append(v)
-                        weights.append(w * bias)
-                walk.append(weighted_choice(rng, items, weights))
-            walks.append(walk)
-    return walks
 
 
 def _validate(num_walks: int, walk_length: int) -> None:

@@ -91,14 +91,12 @@ class HMMConfig:
     ``sigma`` is the GPS noise standard deviation (metres) of the Gaussian
     emission model; ``beta`` scales the transition penalty on route-vs-
     displacement discrepancy; ``radius`` bounds the candidate search.
+    ``sssp_cache_size`` bounds the LRU cache of per-vertex shortest-path
+    rows the Viterbi transition tensor reads route distances from.
 
-    ``engine`` selects the Viterbi implementation: ``"vectorized"``
-    (numpy emission and transition tensors over the whole trajectory's
-    candidate lattice, route distances from cached per-vertex SSSP
-    rows) or
-    ``"reference"`` (the retained per-candidate scalar oracle).  Both
-    produce the same matched paths; the benchmark suite asserts the
-    speedup and the parity tests assert the agreement.
+    Viterbi runs over numpy emission and transition tensors of the whole
+    trajectory's candidate lattice.  The per-candidate scalar decoder it
+    replaced is the parity oracle in ``tests/oracles/mapmatching.py``.
     """
 
     sigma: float = 25.0
@@ -106,17 +104,13 @@ class HMMConfig:
     radius: float = 80.0
     max_candidates: int = 8
     max_route_factor: float = 8.0    # prune absurd detours
-    engine: str = "vectorized"
-    route_cache_size: int = 32768    # scalar-engine pairwise route cache
-    sssp_cache_size: int = 4096      # vectorized-engine per-vertex rows
+    sssp_cache_size: int = 4096      # per-vertex shortest-path rows
 
     def __post_init__(self):
         if self.sigma <= 0 or self.beta <= 0 or self.radius <= 0:
             raise ValueError("sigma, beta and radius must be positive")
-        if self.engine not in ("vectorized", "reference"):
-            raise ValueError("engine must be 'vectorized' or 'reference'")
-        if self.route_cache_size < 1 or self.sssp_cache_size < 1:
-            raise ValueError("cache sizes must be >= 1")
+        if self.sssp_cache_size < 1:
+            raise ValueError("sssp_cache_size must be >= 1")
 
 
 class HMMMapMatcher:
@@ -127,7 +121,6 @@ class HMMMapMatcher:
         self.net = net
         self.index = index or SpatialIndex(net)
         self.config = config or HMMConfig()
-        self._route_cache = LRUCache(self.config.route_cache_size)
         self._sssp_cache = LRUCache(self.config.sssp_cache_size)
 
     # ------------------------------------------------------------------
@@ -180,17 +173,18 @@ class HMMMapMatcher:
     # Caches / observability
     # ------------------------------------------------------------------
     def cache_stats(self) -> Dict[str, Dict[str, float]]:
-        """Hit/miss statistics of the route and SSSP LRU caches."""
-        return {"route": self._route_cache.stats(),
-                "sssp": self._sssp_cache.stats()}
+        """Hit/miss statistics of the SSSP LRU cache.
+
+        ``"route"`` always reads zero; it is kept only because the
+        end-to-end benchmark still reads the key.
+        """
+        route = dict.fromkeys(("size", "capacity", "hits", "misses",
+                               "evictions", "hit_rate"), 0.0)
+        return {"route": route, "sssp": self._sssp_cache.stats()}
 
     def register_cache_gauges(self, registry: MetricsRegistry,
                               prefix: str = "match.cache") -> None:
         """Export cache hit rates as gauges, mirroring ``serve.cache.*``."""
-        registry.register_gauge(f"{prefix}.route.hit_rate",
-                                lambda: self._route_cache.hit_rate)
-        registry.register_gauge(f"{prefix}.route.size",
-                                lambda: len(self._route_cache))
         registry.register_gauge(f"{prefix}.sssp.hit_rate",
                                 lambda: self._sssp_cache.hit_rate)
         registry.register_gauge(f"{prefix}.sssp.size",
@@ -201,62 +195,14 @@ class HMMMapMatcher:
     # ------------------------------------------------------------------
     def _viterbi(self, points: Sequence[GPSPoint],
                  lattice: CandidateLattice) -> List[int]:
-        if self.config.engine == "vectorized":
-            return self._viterbi_vectorized(points, lattice)
-        return self._viterbi_reference(points, lattice.columns())
-
-    def _viterbi_reference(self, points: Sequence[GPSPoint],
-                           columns: List[List[Candidate]]) -> List[int]:
-        """Per-candidate scalar Viterbi — the oracle the vectorised
-        engine is benchmarked and parity-tested against."""
-        cfg = self.config
-        n = len(points)
-        # Log-probability tables.
-        prev_scores = np.array([self._emission(c) for c in columns[0]])
-        back: List[np.ndarray] = []
-        for t in range(1, n):
-            displacement = float(np.hypot(
-                points[t].x - points[t - 1].x,
-                points[t].y - points[t - 1].y))
-            cur = columns[t]
-            prev = columns[t - 1]
-            scores = np.full(len(cur), -np.inf)
-            pointers = np.zeros(len(cur), dtype=np.int64)
-            for j, cand in enumerate(cur):
-                emit = self._emission(cand)
-                best_score, best_i = -np.inf, 0
-                for i, prev_cand in enumerate(prev):
-                    if not np.isfinite(prev_scores[i]):
-                        continue
-                    trans = self._transition(prev_cand, cand, displacement)
-                    score = prev_scores[i] + trans
-                    if score > best_score:
-                        best_score, best_i = score, i
-                scores[j] = best_score + emit
-                pointers[j] = best_i
-            if not np.any(np.isfinite(scores)):
-                raise MatchingError(
-                    f"no feasible transition into GPS fix {t}")
-            prev_scores = scores
-            back.append(pointers)
-
-        # Backtrack.
-        states = [int(np.argmax(prev_scores))]
-        for pointers in reversed(back):
-            states.append(int(pointers[states[-1]]))
-        states.reverse()
-        return states
-
-    def _viterbi_vectorized(self, points: Sequence[GPSPoint],
-                            lattice: CandidateLattice) -> List[int]:
         """Lattice-vectorised Viterbi.
 
         Emissions form one padded ``(n, K)`` array and transitions one
         ``(n-1, K, K)`` tensor (see :meth:`_transition_tensor`), so the
         per-fix loop is an add and an argmax.  Padding slots score
         ``-inf`` and never win a maximum.  Expression trees mirror the
-        scalar reference exactly (same operand order), so both engines
-        produce identical log-probabilities.
+        scalar oracle exactly (same operand order), so both produce
+        identical log-probabilities.
         """
         sigma = self.config.sigma
         emission = np.where(
@@ -272,12 +218,12 @@ class HMMMapMatcher:
         slots = np.arange(width)
         for t in range(1, n):
             total = scores[t - 1][:, None] + trans[t - 1]
-            # np.argmax keeps the first maximum, like the reference's
+            # np.argmax keeps the first maximum, like the scalar oracle's
             # strict-improvement scan.
             back[t - 1] = pointers = np.argmax(total, axis=0)
             scores[t] = total[pointers, slots] + emission[t]
         # A fix with no finite score leaves every later fix at -inf, so
-        # the first such fix is the one the reference rejects.
+        # the first such fix is the one the scalar oracle rejects.
         dead = ~np.isfinite(scores[1:]).any(axis=1)
         if dead.any():
             raise MatchingError(
@@ -323,7 +269,7 @@ class HMMMapMatcher:
         route = np.where(same, (ratio_b - ratio_a) * len_a, route)
         penalty = -np.abs(route - displacement) / cfg.beta
         # Unreachable pairs have route == inf, hence penalty == -inf,
-        # matching the reference's `route is None -> -inf`.
+        # matching the scalar oracle's `route is None -> -inf`.
         prune = route > cfg.max_route_factor * displacement + 200.0
         return np.where(prune, penalty - 50.0, penalty)
 
@@ -342,57 +288,6 @@ class HMMMapMatcher:
         col = np.zeros(starts.shape, dtype=np.int64)
         col[starts_valid] = dst
         return table[row[:, :, None], col[:, None, :]]
-
-    def _emission(self, cand: Candidate) -> float:
-        sigma = self.config.sigma
-        return float(-0.5 * (cand.distance / sigma) ** 2
-                     - np.log(sigma * np.sqrt(2 * np.pi)))
-
-    def _transition(self, a: Candidate, b: Candidate,
-                    displacement: float) -> float:
-        route = self._route_distance(a, b)
-        if route is None:
-            return -np.inf
-        diff = abs(route - displacement)
-        penalty = -diff / self.config.beta
-        # Soft prune: absurd detours get a heavy (but finite) extra
-        # penalty rather than -inf, so near-stationary fixes in congestion
-        # (displacement ~ GPS noise) never strand the Viterbi lattice.
-        if route > self.config.max_route_factor * displacement + 200.0:
-            penalty -= 50.0
-        return float(penalty)
-
-    def _route_distance(self, a: Candidate, b: Candidate) -> Optional[float]:
-        """Network distance between two candidate positions.
-
-        Same edge, forward order: simply the ratio gap.  Otherwise: distance
-        from a's position to the end of its edge, a shortest path to the
-        start of b's edge, plus b's partial edge.
-        """
-        # Exact ratios: candidates a hair apart on one edge have
-        # different route distances, so rounded keys would collide.
-        key = (a.edge_id, a.ratio, b.edge_id, b.ratio)
-        # None (unreachable) is a legitimate cached value, so distinguish
-        # a miss with the cache's own sentinel default.
-        result = self._route_cache.get(key, LRUCache._MISSING)
-        if result is LRUCache._MISSING:
-            result = self._route_distance_uncached(a, b)
-            self._route_cache.put(key, result)
-        return result
-
-    def _route_distance_uncached(self, a: Candidate,
-                                 b: Candidate) -> Optional[float]:
-        net = self.net
-        edge_a, edge_b = net.edge(a.edge_id), net.edge(b.edge_id)
-        if a.edge_id == b.edge_id and b.ratio >= a.ratio:
-            return (b.ratio - a.ratio) * edge_a.length
-        tail = (1.0 - a.ratio) * edge_a.length
-        head = b.ratio * edge_b.length
-        try:
-            _, between = dijkstra(net, edge_a.end, edge_b.start)
-        except NoPathError:
-            return None
-        return tail + between + head
 
     # ------------------------------------------------------------------
     # Path expansion

@@ -11,7 +11,7 @@ and the interval ResNet block (Eq. 5-8), embeddings-as-one-hot-products
 
 from .tensor import Tensor, concat, stack, zeros, ones, unbroadcast
 from .engine import (
-    NN_ENGINES, default_nn_engine, resolve_nn_engine, sequence_mask,
+    sequence_mask,
     lstm_sequence_fused, lstm_span_encode_fused, gru_sequence_fused,
     conv2d_fused,
     batchnorm2d_fused, conv_bn_relu_fused, interval_resnet_fused,
@@ -20,10 +20,8 @@ from .engine import (
 from .functional import (
     relu, sigmoid, tanh, softmax, log_softmax, dropout,
     mae_loss, mse_loss, euclidean_loss, smooth_l1_loss,
-    mae_loss_reference, mse_loss_reference, euclidean_loss_reference,
-    smooth_l1_loss_reference,
     mae_loss_fused, euclidean_loss_fused, smooth_l1_loss_fused,
-    pad2d, avg_pool_over_axis, masked_mean_pool, global_avg_pool2d,
+    avg_pool_over_axis, masked_mean_pool, global_avg_pool2d,
 )
 from .modules import (
     Parameter, Module, Linear, TwoLayerMLP, Sequential, ReLU, Tanh,
@@ -44,7 +42,6 @@ from .gradcheck import check_gradient, check_module_gradients, numeric_gradient
 
 __all__ = [
     "Tensor", "concat", "stack", "zeros", "ones", "unbroadcast",
-    "NN_ENGINES", "default_nn_engine", "resolve_nn_engine",
     "sequence_mask", "lstm_sequence_fused", "lstm_span_encode_fused",
     "gru_sequence_fused",
     "conv2d_fused", "batchnorm2d_fused", "conv_bn_relu_fused",
@@ -52,10 +49,8 @@ __all__ = [
     "validate_bench_fit", "validate_bench_fit_file",
     "relu", "sigmoid", "tanh", "softmax", "log_softmax", "dropout",
     "mae_loss", "mse_loss", "euclidean_loss", "smooth_l1_loss",
-    "mae_loss_reference", "mse_loss_reference",
-    "euclidean_loss_reference", "smooth_l1_loss_reference",
     "mae_loss_fused", "euclidean_loss_fused", "smooth_l1_loss_fused",
-    "pad2d", "avg_pool_over_axis", "masked_mean_pool",
+    "avg_pool_over_axis", "masked_mean_pool",
     "global_avg_pool2d",
     "Parameter", "Module", "Linear", "TwoLayerMLP", "Sequential",
     "ReLU", "Tanh", "Embedding", "LayerNorm", "Dropout",

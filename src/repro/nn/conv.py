@@ -5,8 +5,11 @@ The Time Interval Encoder (paper Eq. 5-8) stacks three convolutions over a
 3x1 (8 channels) and 1x1 (1 channel) — with BatchNorm + ReLU between them and
 a residual connection back onto the input.  The External Features Encoder
 (Eq. 18) applies three Conv2d→BatchNorm2d→ReLU blocks to the traffic speed
-matrix.  Both are built from the generic :class:`Conv2d` here, which uses an
-im2col formulation so the autograd engine differentiates it for free.
+matrix.  Both are built from the generic :class:`Conv2d` here.  Training
+runs on the fused kernels of :mod:`repro.nn.engine` (im2col + GEMM
+convolution, single-node batch norm, whole-block Conv→BN→ReLU and
+interval-ResNet nodes); eval mode composes the per-layer modules with the
+running statistics.
 """
 
 from __future__ import annotations
@@ -18,9 +21,8 @@ import numpy as np
 from ..analysis.contracts import shaped
 from .engine import (
     batchnorm2d_fused, conv2d_fused, conv_bn_relu_fused,
-    interval_resnet_fused, resolve_nn_engine,
+    interval_resnet_fused,
 )
-from .functional import pad2d
 from .init import ensure_generator
 from .modules import Module, Parameter
 from .tensor import Tensor
@@ -34,43 +36,15 @@ def _pair(value: IntPair) -> Tuple[int, int]:
     return (value, value)
 
 
-def _im2col(x: Tensor, kh: int, kw: int, stride: Tuple[int, int]) -> Tuple[Tensor, int, int]:
-    """Unfold (N, C, H, W) into (N, out_h*out_w, C*kh*kw) patches.
-
-    Implemented with differentiable slicing + concat so gradients flow back
-    to the input without a hand-written backward rule.
-    """
-    n, c, h, w = x.shape
-    sh, sw = stride
-    out_h = (h - kh) // sh + 1
-    out_w = (w - kw) // sw + 1
-    if out_h <= 0 or out_w <= 0:
-        raise ValueError(
-            f"kernel ({kh}x{kw}) larger than padded input ({h}x{w})")
-    # Gather strided patches with a single fancy-index per kernel offset.
-    rows = []
-    from .tensor import concat
-    for di in range(kh):
-        for dj in range(kw):
-            patch = x[:, :, di:di + sh * out_h:sh, dj:dj + sw * out_w:sw]
-            rows.append(patch.reshape(n, c, out_h * out_w, 1))
-    # (N, C, L, kh*kw) -> (N, L, C*kh*kw)
-    stacked = concat(rows, axis=3)
-    cols = stacked.transpose((0, 2, 1, 3)).reshape(n, out_h * out_w, c * kh * kw)
-    return cols, out_h, out_w
-
-
 class Conv2d(Module):
     """2-D convolution ``(N, C_in, H, W) -> (N, C_out, H', W')``."""
 
     def __init__(self, in_channels: int, out_channels: int,
                  kernel_size: IntPair, stride: IntPair = 1,
                  padding: IntPair = 0, bias: bool = True, *,
-                 rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 rng: np.random.Generator):
         super().__init__()
         rng = ensure_generator(rng, "Conv2d")
-        self.engine = resolve_nn_engine(engine)
         self.in_channels = in_channels
         self.out_channels = out_channels
         self.kernel_size = _pair(kernel_size)
@@ -92,26 +66,8 @@ class Conv2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"Conv2d expects (N, C, H, W), got {x.shape}")
-        if self.engine == "fast":
-            return conv2d_fused(x, self.weight, self.bias, self.stride,
-                                self.padding)
-        return self._forward_reference(x)
-
-    def _forward_reference(self, x: Tensor) -> Tensor:
-        """Oracle path: differentiable slicing + concat im2col."""
-        ph, pw = self.padding
-        if ph or pw:
-            x = pad2d(x, (ph, ph, pw, pw))
-        kh, kw = self.kernel_size
-        cols, out_h, out_w = _im2col(x, kh, kw, self.stride)
-        flat_w = self.weight.reshape(self.out_channels,
-                                     self.in_channels * kh * kw)
-        out = cols @ flat_w.T                        # (N, L, C_out)
-        if self.bias is not None:
-            out = out + self.bias
-        n = x.shape[0]
-        return out.transpose((0, 2, 1)).reshape(
-            n, self.out_channels, out_h, out_w)
+        return conv2d_fused(x, self.weight, self.bias, self.stride,
+                            self.padding)
 
     def __repr__(self) -> str:
         return (f"Conv2d({self.in_channels}, {self.out_channels}, "
@@ -123,10 +79,8 @@ class BatchNorm2d(Module):
     """Batch normalisation over (N, H, W) per channel, with running stats."""
 
     def __init__(self, num_features: int, eps: float = 1e-5,
-                 momentum: float = 0.1, *,
-                 engine: Optional[str] = None):
+                 momentum: float = 0.1):
         super().__init__()
-        self.engine = resolve_nn_engine(engine)
         self.num_features = num_features
         self.eps = eps
         self.momentum = momentum
@@ -138,32 +92,22 @@ class BatchNorm2d(Module):
     def forward(self, x: Tensor) -> Tensor:
         if x.ndim != 4:
             raise ValueError(f"BatchNorm2d expects (N, C, H, W), got {x.shape}")
-        axes = (0, 2, 3)
         if self.training:
-            mean = x.data.mean(axis=axes)
-            var = x.data.var(axis=axes)
-            self._update_running(mean, var)
-            if self.engine == "fast":
-                # One fused node: normalise + affine with hand-written
-                # backward (the running stats above are engine-shared).
-                return batchnorm2d_fused(x, self.weight, self.bias,
-                                         self.eps)
-            # Normalise with batch statistics via differentiable ops.
-            mu = x.mean(axis=axes, keepdims=True)
-            centered = x - mu
-            variance = (centered ** 2).mean(axis=axes, keepdims=True)
-            norm = centered / ((variance + self.eps) ** 0.5)
-        else:
-            mu = self.running_mean.reshape(1, -1, 1, 1)
-            sigma = np.sqrt(self.running_var + self.eps).reshape(1, -1, 1, 1)
-            norm = (x - Tensor(mu)) / Tensor(sigma)
+            axes = (0, 2, 3)
+            self._update_running(x.data.mean(axis=axes),
+                                 x.data.var(axis=axes))
+            # One fused node: normalise + affine, hand-written backward.
+            return batchnorm2d_fused(x, self.weight, self.bias, self.eps)
+        mu = self.running_mean.reshape(1, -1, 1, 1)
+        sigma = np.sqrt(self.running_var + self.eps).reshape(1, -1, 1, 1)
+        norm = (x - Tensor(mu)) / Tensor(sigma)
         w = self.weight.reshape(1, self.num_features, 1, 1)
         b = self.bias.reshape(1, self.num_features, 1, 1)
         return norm * w + b
 
     def _update_running(self, mean: np.ndarray, var: np.ndarray) -> None:
         """Fold one batch's statistics into the running buffers — shared
-        by both engines and by the fused Conv→BN→ReLU block."""
+        with the fused Conv→BN→ReLU and interval-ResNet blocks."""
         m = self.momentum
         self.update_buffer(
             "running_mean", (1 - m) * self.running_mean + m * mean)
@@ -177,16 +121,14 @@ class ConvBNReLU(Module):
     def __init__(self, in_channels: int, out_channels: int,
                  kernel_size: IntPair = 3, stride: IntPair = 1,
                  padding: IntPair = 1, *,
-                 rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 rng: np.random.Generator):
         super().__init__()
         self.conv = Conv2d(in_channels, out_channels, kernel_size,
-                           stride=stride, padding=padding, rng=rng,
-                           engine=engine)
-        self.bn = BatchNorm2d(out_channels, engine=engine)
+                           stride=stride, padding=padding, rng=rng)
+        self.bn = BatchNorm2d(out_channels)
 
     def forward(self, x: Tensor) -> Tensor:
-        if self.conv.engine == "fast" and self.training:
+        if self.training:
             out, mean, var = conv_bn_relu_fused(
                 x, self.conv.weight, self.conv.bias, self.bn.weight,
                 self.bn.bias, self.conv.stride, self.conv.padding,
@@ -206,17 +148,15 @@ class IntervalResNetBlock(Module):
     the residual shapes agree.
     """
 
-    def __init__(self, *, rng: np.random.Generator,
-                 engine: Optional[str] = None):
+    def __init__(self, *, rng: np.random.Generator):
         super().__init__()
         self.conv1 = Conv2d(1, 4, kernel_size=(3, 1), padding=(1, 0),
-                            rng=rng, engine=engine)
-        self.bn1 = BatchNorm2d(4, engine=engine)
+                            rng=rng)
+        self.bn1 = BatchNorm2d(4)
         self.conv2 = Conv2d(4, 8, kernel_size=(3, 1), padding=(1, 0),
-                            rng=rng, engine=engine)
-        self.bn2 = BatchNorm2d(8, engine=engine)
-        self.conv3 = Conv2d(8, 1, kernel_size=(1, 1), rng=rng,
-                            engine=engine)
+                            rng=rng)
+        self.bn2 = BatchNorm2d(8)
+        self.conv3 = Conv2d(8, 1, kernel_size=(1, 1), rng=rng)
 
     @shaped("(N, 1, S, D) -> (N, 1, S, D)")
     def forward(self, x: Tensor, mask: Optional[Tensor] = None) -> Tensor:
@@ -234,7 +174,7 @@ class IntervalResNetBlock(Module):
         if x.ndim != 4 or x.shape[1] != 1:
             raise ValueError(
                 f"IntervalResNetBlock expects (N, 1, Δd, d_t), got {x.shape}")
-        if self.conv1.engine == "fast" and self.training:
+        if self.training:
             # The whole block — input mask, both Conv→BN→ReLU(→mask)
             # stages, 1x1 conv and residual — as one autograd node in
             # transpose-free (N, Δd, d_t, C) layout.

@@ -1,11 +1,12 @@
 """The fused ``nn`` engine: batched sequence kernels for the hot path.
 
-This module is the training/inference counterpart of the embedding
-engine split (``repro.embedding``): every kernel here has a scalar /
-per-op twin that stays behind as a reference oracle, and the engine is
-selected per model via ``DeepODConfig.nn_engine`` (``"fast"`` |
-``"reference"``, default fast) or the ``REPRO_NN_ENGINE`` environment
-variable.
+Every layer of ``repro.nn`` that DeepOD trains through runs on these
+kernels; there is no runtime switch.  The per-op compositions they
+replaced (one ``LSTMCell`` call per timestep, slicing+concat im2col,
+elementwise batch-norm and loss chains) live on as parity oracles in
+``tests/oracles/nn.py``, whose ``reference_engine()`` context manager
+swaps them back in for the whole-stack parity tests and the fit-speedup
+bench.
 
 What "fused" means here:
 
@@ -19,14 +20,14 @@ What "fused" means here:
   ``(B, T)`` boolean mask).
 * ``conv2d_fused`` / ``batchnorm2d_fused`` collapse the im2col
   convolution and the training-mode batch normalisation into one node
-  each (the reference ``Conv2d`` builds ``kh·kw`` slice nodes and the
-  reference ``BatchNorm2d`` a chain of elementwise nodes).
+  each (the per-op forms build ``kh·kw`` slice nodes and a chain of
+  elementwise nodes respectively).
 * The fused elementwise loss chains live in
   :mod:`repro.nn.functional` (``mae_loss_fused`` etc.).
 
 Saved-activation buffers keep the *parameter* dtype (float64 for the
 default ``repro.nn`` zone, float32 when a model is cast down) — the
-fast engine never silently upcasts, which the recurrent layers assert.
+kernels never silently upcast, which the recurrent layers assert.
 
 ``BENCH_fit.json`` — written by ``benchmarks/test_fit_speedup.py`` —
 is validated fail-closed by :func:`validate_bench_fit`.
@@ -35,33 +36,11 @@ is validated fail-closed by :func:`validate_bench_fit`.
 from __future__ import annotations
 
 import json
-import os
 from typing import Dict, Optional, Tuple
 
 import numpy as np
 
 from .tensor import Tensor, scatter_rows
-
-NN_ENGINES = ("fast", "reference")
-
-
-def default_nn_engine() -> str:
-    """Engine selected by ``REPRO_NN_ENGINE`` (default ``"fast"``)."""
-    engine = os.environ.get("REPRO_NN_ENGINE", "fast")
-    if engine not in NN_ENGINES:
-        raise ValueError(
-            f"REPRO_NN_ENGINE must be one of {NN_ENGINES}, got {engine!r}")
-    return engine
-
-
-def resolve_nn_engine(engine: Optional[str]) -> str:
-    """Validate an engine name; ``None`` falls back to the default."""
-    if engine is None:
-        return default_nn_engine()
-    if engine not in NN_ENGINES:
-        raise ValueError(
-            f"nn engine must be one of {NN_ENGINES}, got {engine!r}")
-    return engine
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:

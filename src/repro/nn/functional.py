@@ -2,13 +2,11 @@
 
 These free functions mirror the operations DeepOD's equations use:
 activations (Eq. 9, 12-16), losses (MAE main loss, Euclidean auxiliary loss
-of Algorithm 1), padding and pooling used by the Time Interval Encoder
+of Algorithm 1), and pooling used by the Time Interval Encoder
 (Eq. 5-10) and the External Features Encoder (Eq. 18).
 """
 
 from __future__ import annotations
-
-from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -63,11 +61,9 @@ def dropout(x: Tensor, p: float, training: bool,
 # ----------------------------------------------------------------------
 # Losses
 #
-# Each loss has two implementations: the original per-op chain (kept as
-# the ``*_reference`` oracle, also the default under the bare name for
-# backwards compatibility) and a ``*_fused`` single-autograd-node twin
-# whose backward is written by hand.  The fast nn engine dispatches to
-# the fused forms (see ``DeepOD.training_losses``); fused buffers keep
+# The bare names are per-op chains (the baselines train through them);
+# the ``*_fused`` twins are single autograd nodes with hand-written
+# backwards, which ``DeepOD.training_losses`` uses.  Fused buffers keep
 # the input dtype so a float32 model never silently upcasts.
 # ----------------------------------------------------------------------
 def mae_loss(pred: Tensor, target: Tensor) -> Tensor:
@@ -105,16 +101,8 @@ def smooth_l1_loss(pred: Tensor, target: Tensor, beta: float = 1.0) -> Tensor:
     return (quad + lin).mean()
 
 
-# Reference aliases, mirroring the embedding engine's naming scheme.
-mae_loss_reference = mae_loss
-mse_loss_reference = mse_loss
-euclidean_loss_reference = euclidean_loss
-smooth_l1_loss_reference = smooth_l1_loss
-
-
 def mae_loss_fused(pred: Tensor, target: Tensor) -> Tensor:
-    """Single-node mean absolute error (fast-engine twin of
-    :func:`mae_loss`)."""
+    """Single-node mean absolute error (twin of :func:`mae_loss`)."""
     target = target if isinstance(target, Tensor) else Tensor(target)
     diff = pred.data - target.data
     out = np.abs(diff).mean()
@@ -160,26 +148,8 @@ def smooth_l1_loss_fused(pred: Tensor, target: Tensor,
 
 
 # ----------------------------------------------------------------------
-# Padding / pooling helpers used by the CNN encoders
+# Pooling helpers used by the CNN encoders
 # ----------------------------------------------------------------------
-def pad2d(x: Tensor, pad: Tuple[int, int, int, int]) -> Tensor:
-    """Zero-pad the last two axes of ``x`` by (top, bottom, left, right)."""
-    top, bottom, left, right = pad
-    if top == bottom == left == right == 0:
-        return x
-    pad_width = [(0, 0)] * (x.ndim - 2) + [(top, bottom), (left, right)]
-    out_data = np.pad(x.data, pad_width)
-
-    slices = tuple([slice(None)] * (x.ndim - 2) +
-                   [slice(top, out_data.shape[-2] - bottom),
-                    slice(left, out_data.shape[-1] - right)])
-
-    def backward(grad):
-        return (grad[slices],)
-
-    return Tensor._make(out_data, (x,), backward)
-
-
 def avg_pool_over_axis(x: Tensor, axis: int) -> Tensor:
     """Average-pool away one axis (Eq. 10: column means of Z4)."""
     return x.mean(axis=axis)
@@ -189,8 +159,8 @@ def masked_mean_pool(x: Tensor, mask: np.ndarray) -> Tensor:
     """Masked average pool over the time axis as a single node.
 
     ``x`` is (B, T, D), ``mask`` a (B, T) 0/1 array; returns the
-    (B, D) mean of each row's unmasked steps.  The fast-engine twin of
-    the ``(x * mask).sum(1) / counts`` chain used by the Time Interval
+    (B, D) mean of each row's unmasked steps — the single-node form of
+    the ``(x * mask).sum(1) / counts`` chain, used by the Time Interval
     Encoder (Eq. 10) and the mean-pooling sequence ablation.
     """
     weights = mask / mask.sum(axis=1, keepdims=True)    # (B, T)

@@ -6,23 +6,23 @@ the instantiated choice, not the only admissible one.  The GRU here powers
 the sequence-encoder ablation bench (LSTM vs GRU vs mean pooling) listed
 in DESIGN.md Section 6.
 
-Like :class:`repro.nn.LSTM`, the unroll has a fused ``"fast"`` engine
-(:func:`~repro.nn.engine.gru_sequence_fused`) and a per-timestep
-``"reference"`` oracle.
+Like :class:`repro.nn.LSTM`, the unroll runs as one fused kernel
+(:func:`~repro.nn.engine.gru_sequence_fused`); the per-timestep unroll
+is the parity oracle in ``tests/oracles/nn.py``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.contracts import shaped
-from .engine import gru_sequence_fused, resolve_nn_engine, sequence_mask
+from .engine import gru_sequence_fused, sequence_mask
 from .init import ensure_generator
 from .modules import Module, Parameter
 from .rnn import _check_lengths, _check_state_dtype
-from .tensor import Tensor, concat, stack
+from .tensor import Tensor, concat
 
 
 class GRUCell(Module):
@@ -64,47 +64,25 @@ class GRU(Module):
     """Unrolled GRU over padded variable-length batches.
 
     Interface-compatible with :class:`repro.nn.LSTM`: returns (outputs,
-    final hidden state), with padded steps frozen.  ``engine`` selects
-    the fused batched kernel (``"fast"``, default) or the per-timestep
-    reference unroll.
+    final hidden state), with padded steps frozen.
     """
 
     def __init__(self, input_size: int, hidden_size: int, *,
-                 rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 rng: np.random.Generator):
         super().__init__()
         self.cell = GRUCell(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
         self.input_size = input_size
-        self.engine = resolve_nn_engine(engine)
 
     @shaped("(B, T, input_size) -> (B, T, hidden_size), (B, hidden_size)")
     def forward(self, x: Tensor, lengths: Optional[Sequence[int]] = None
                 ) -> Tuple[Tensor, Tensor]:
         batch, steps, _ = x.shape
         lengths = _check_lengths(lengths, batch, steps)
-        if self.engine == "fast":
-            cell = self.cell
-            _check_state_dtype(x, cell.weight_gates, "GRU")
-            mask = sequence_mask(lengths, steps)
-            stacked = gru_sequence_fused(
-                x, cell.weight_gates, cell.bias_gates, cell.weight_cand,
-                cell.bias_cand, self.hidden_size, mask)
-            return stacked, stacked[:, steps - 1, :]
-        return self._forward_reference(x, lengths)
-
-    def _forward_reference(self, x: Tensor, lengths: np.ndarray
-                           ) -> Tuple[Tensor, Tensor]:
-        """Oracle path: one :class:`GRUCell` call per timestep."""
-        batch, steps, _ = x.shape
-        dtype = self.cell.weight_gates.dtype
-        h = Tensor(np.zeros((batch, self.hidden_size), dtype=dtype))
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            h_new = self.cell(x[:, t, :], h)
-            mask = Tensor((t < lengths).astype(dtype)[:, None])
-            h = h_new * mask + h * (1.0 - mask)
-            outputs.append(h)
-        stacked = stack(outputs, axis=1)
-        _check_state_dtype(stacked, self.cell.weight_gates, "GRU")
-        return stacked, h
+        cell = self.cell
+        _check_state_dtype(x, cell.weight_gates, "GRU")
+        mask = sequence_mask(lengths, steps)
+        stacked = gru_sequence_fused(
+            x, cell.weight_gates, cell.bias_gates, cell.weight_cand,
+            cell.bias_cand, self.hidden_size, mask)
+        return stacked, stacked[:, steps - 1, :]

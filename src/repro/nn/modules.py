@@ -16,9 +16,9 @@ import numpy as np
 
 from ..analysis.contracts import shaped
 from . import init as init_schemes
-from .engine import mlp2_fused, resolve_nn_engine
+from .engine import mlp2_fused
 from .init import ensure_generator
-from .tensor import Tensor, concat
+from .tensor import Tensor
 
 
 class Parameter(Tensor):
@@ -203,10 +203,8 @@ class TwoLayerMLP(Module):
     """
 
     def __init__(self, in_features: int, hidden: int, out_features: int,
-                 *, rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 *, rng: np.random.Generator):
         super().__init__()
-        self.engine = resolve_nn_engine(engine)
         self.in_features = in_features
         self.out_features = out_features
         self.fc1 = Linear(in_features, hidden, rng=rng)
@@ -214,10 +212,8 @@ class TwoLayerMLP(Module):
 
     @shaped("(..., in_features) -> (..., out_features)")
     def forward(self, x: Tensor) -> Tensor:
-        if self.engine == "fast":
-            return mlp2_fused(x, self.fc1.weight, self.fc1.bias,
-                              self.fc2.weight, self.fc2.bias)
-        return self.fc2(self.fc1(x).relu())
+        return mlp2_fused(x, self.fc1.weight, self.fc1.bias,
+                          self.fc2.weight, self.fc2.bias)
 
     @shaped("(..., *), (..., *) -> (..., out_features)")
     def forward_with_tail(self, x: Tensor, tail: np.ndarray) -> Tensor:
@@ -225,10 +221,9 @@ class TwoLayerMLP(Module):
 
         The paper repeatedly appends hand-computed features (position
         ratios in Eq. 17, interval remainders in Eq. 11) to a learned
-        code before an MLP.  The tail carries no gradient, so the fast
-        engine feeds it straight into the fused kernel — no concat
-        node, no backward split, no throwaway gradient buffer.  The
-        reference engine keeps the literal concat as the oracle.
+        code before an MLP.  The tail carries no gradient, so it goes
+        straight into the fused kernel — no concat node, no backward
+        split, no throwaway gradient buffer.
         """
         if x.shape[:-1] != tail.shape[:-1]:
             raise ValueError(
@@ -238,14 +233,9 @@ class TwoLayerMLP(Module):
             raise ValueError(
                 f"input ({x.shape[-1]}) + tail ({tail.shape[-1]}) "
                 f"features must total in_features ({self.in_features})")
-        if self.engine == "fast":
-            tail = np.asarray(tail, dtype=x.dtype)
-            return mlp2_fused(x, self.fc1.weight, self.fc1.bias,
-                              self.fc2.weight, self.fc2.bias,
-                              const_tail=tail)
-        joined = concat([x, Tensor(np.asarray(tail, dtype=x.dtype))],
-                        axis=-1)
-        return self.fc2(self.fc1(joined).relu())
+        return mlp2_fused(x, self.fc1.weight, self.fc1.bias,
+                          self.fc2.weight, self.fc2.bias,
+                          const_tail=np.asarray(tail, dtype=x.dtype))
 
 
 class Sequential(Module):

@@ -6,28 +6,26 @@ state h_n as the sequence representation.  :class:`LSTMCell` implements one
 unit exactly per Eq. 12-16; :class:`LSTM` unrolls it over a padded batch of
 variable-length sequences and gathers h at each sequence's true last step.
 
-Two unroll engines are available (see :mod:`repro.nn.engine`): the
-default ``"fast"`` path runs the whole batch through
-:func:`~repro.nn.engine.lstm_sequence_fused` — one input-projection
-GEMM plus a single hand-written BPTT node — while ``"reference"``
-keeps the original one-:class:`LSTMCell`-call-per-timestep unroll as
-the oracle the fused kernel is tested against.
+:class:`LSTM` runs the whole batch through
+:func:`~repro.nn.engine.lstm_sequence_fused` — one input-projection GEMM
+plus a single hand-written BPTT node.  The one-:class:`LSTMCell`-call-
+per-timestep unroll it replaced is the parity oracle in
+``tests/oracles/nn.py``.
 """
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..analysis.contracts import shaped
 from .engine import (
-    lstm_sequence_fused, lstm_span_encode_fused, resolve_nn_engine,
-    sequence_mask,
+    lstm_sequence_fused, lstm_span_encode_fused, sequence_mask,
 )
 from .init import ensure_generator
 from .modules import Module, Parameter
-from .tensor import Tensor, concat, stack
+from .tensor import Tensor, concat
 
 
 class LSTMCell(Module):
@@ -96,12 +94,10 @@ def _check_state_dtype(tensor: Tensor, param: Parameter,
                        layer: str) -> None:
     """The recurrence must run in the parameter dtype end to end.
 
-    Applied to the input before the fused kernel (whose buffers are
+    Applied to the input before the fused kernel, whose buffers are
     allocated in the parameter dtype and would otherwise silently cast
-    a mismatched input) and to the stacked outputs of the reference
-    unroll (where a float64 input would silently upcast every
-    activation of a float32 model).  Fail loudly instead so the caller
-    fixes the input dtype.  (Dtype-neutral by construction —
+    a mismatched input.  Fail loudly instead so the caller fixes the
+    input dtype.  (Dtype-neutral by construction —
     N001-clean: no literal dtype appears here.)
     """
     if tensor.dtype != param.dtype:
@@ -112,21 +108,14 @@ def _check_state_dtype(tensor: Tensor, param: Parameter,
 
 
 class LSTM(Module):
-    """Unrolled LSTM over padded batches of variable-length sequences.
-
-    ``engine`` selects the fused batched kernel (``"fast"``, default)
-    or the per-timestep reference unroll (``"reference"``); ``None``
-    resolves via ``REPRO_NN_ENGINE``.
-    """
+    """Unrolled LSTM over padded batches of variable-length sequences."""
 
     def __init__(self, input_size: int, hidden_size: int, *,
-                 rng: np.random.Generator,
-                 engine: Optional[str] = None):
+                 rng: np.random.Generator):
         super().__init__()
         self.cell = LSTMCell(input_size, hidden_size, rng=rng)
         self.hidden_size = hidden_size
         self.input_size = input_size
-        self.engine = resolve_nn_engine(engine)
 
     @shaped("(B, T, input_size) -> (B, T, hidden_size), (B, hidden_size)")
     def forward(self, x: Tensor, lengths: Optional[Sequence[int]] = None
@@ -150,34 +139,25 @@ class LSTM(Module):
         """
         batch, steps, _ = x.shape
         lengths = _check_lengths(lengths, batch, steps)
-        if self.engine == "fast":
-            _check_state_dtype(x, self.cell.weight, "LSTM")
-            mask = sequence_mask(lengths, steps)
-            stacked = lstm_sequence_fused(
-                x, self.cell.weight, self.cell.bias, self.hidden_size,
-                mask)
-            # Masked steps carry state, so the last step holds each
-            # row's true final hidden state.
-            return stacked, stacked[:, steps - 1, :]
-        return self._forward_reference(x, lengths)
+        _check_state_dtype(x, self.cell.weight, "LSTM")
+        mask = sequence_mask(lengths, steps)
+        stacked = lstm_sequence_fused(
+            x, self.cell.weight, self.cell.bias, self.hidden_size, mask)
+        # Masked steps carry state, so the last step holds each row's
+        # true final hidden state.
+        return stacked, stacked[:, steps - 1, :]
 
     @shaped("(total, *), (total, *), _, _ -> (*, hidden_size)")
     def encode_spans(self, tcodes: Tensor, scodes: Tensor,
                      index_map: np.ndarray,
                      lengths: Sequence[int]) -> Tensor:
-        """Fast-engine hot path: flat per-element codes straight to h_n.
+        """Hot path: flat per-element codes straight to h_n.
 
         Equivalent to ``forward(concat([tcodes, scodes])[index_map],
         lengths)[1]`` without materialising the concatenation, the
         padded batch or the full output sequence (see
-        :func:`~repro.nn.engine.lstm_span_encode_fused`).  Only valid
-        on the fast engine — reference callers compose the per-op
-        oracles instead.
+        :func:`~repro.nn.engine.lstm_span_encode_fused`).
         """
-        if self.engine != "fast":
-            raise RuntimeError(
-                "LSTM.encode_spans is a fast-engine kernel; compose "
-                "concat/gather/forward on the reference engine")
         batch, steps = index_map.shape
         lengths = _check_lengths(lengths, batch, steps)
         _check_state_dtype(tcodes, self.cell.weight, "LSTM")
@@ -185,23 +165,3 @@ class LSTM(Module):
         return lstm_span_encode_fused(
             tcodes, scodes, self.cell.weight, self.cell.bias,
             self.hidden_size, lengths, index_map)
-
-    def _forward_reference(self, x: Tensor, lengths: np.ndarray
-                           ) -> Tuple[Tensor, Tensor]:
-        """Oracle path: one :class:`LSTMCell` call per timestep."""
-        batch, steps, _ = x.shape
-        dtype = self.cell.weight.dtype
-        h = Tensor(np.zeros((batch, self.hidden_size), dtype=dtype))
-        c = Tensor(np.zeros((batch, self.hidden_size), dtype=dtype))
-        outputs: List[Tensor] = []
-        for t in range(steps):
-            x_t = x[:, t, :]
-            h_new, c_new = self.cell(x_t, (h, c))
-            # Freeze state on padded steps: mask=1 while t < length.
-            mask = Tensor((t < lengths).astype(dtype)[:, None])
-            h = h_new * mask + h * (1.0 - mask)
-            c = c_new * mask + c * (1.0 - mask)
-            outputs.append(h)
-        stacked = stack(outputs, axis=1)
-        _check_state_dtype(stacked, self.cell.weight, "LSTM")
-        return stacked, h

@@ -1,8 +1,7 @@
 """Shared metrics: counters, latency histograms, one JSON snapshot.
 
-Promoted out of ``repro.serving.metrics`` (which remains as a
-deprecated re-export) so that every layer — the serving stack, the
-trainer, the sweep executor — feeds one metrics vocabulary.  The
+Promoted out of the serving package so that every layer — the serving
+stack, the trainer, the sweep executor — feeds one metrics vocabulary.  The
 paper's Table 5 measures exactly what these types record: per-query
 estimation cost online (latency histograms) and per-epoch training
 cost offline (step/epoch histograms).

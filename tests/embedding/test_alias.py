@@ -1,7 +1,7 @@
 """Statistical and equivalence tests for the alias-sampled walk engine.
 
 The vectorized engine must be a *distributional* drop-in for the scalar
-reference: alias draws must match the exact probabilities (chi-square
+oracle in ``tests/oracles/embedding.py``: alias draws must match the exact probabilities (chi-square
 goodness of fit), and lockstep walks must visit edges with the same
 frequencies as the reference walker — for first-order walks and for
 node2vec's second-order rejection sampler at p = q = 1 and p != q.
@@ -12,11 +12,12 @@ import pytest
 from scipy import stats
 
 from repro.embedding import (
-    AliasTable, NodeAliasSampler, generate_node2vec_walks,
-    generate_node2vec_walks_reference, generate_walks,
-    generate_walks_reference,
+    AliasTable, NodeAliasSampler, generate_node2vec_walks, generate_walks,
 )
 from repro.roadnet import WeightedDigraph
+from tests.oracles.embedding import (
+    generate_node2vec_walks_reference, generate_walks_reference,
+)
 
 
 def skewed_graph(n=8):

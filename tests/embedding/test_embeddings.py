@@ -11,10 +11,11 @@ import pytest
 from repro.embedding import (
     EmbeddingConfig, SkipGramConfig, build_pairs, embed_graph,
     generate_node2vec_walks, generate_walks, train_line, train_skipgram,
-    unigram_distribution, weighted_choice,
+    unigram_distribution,
 )
 from repro.embedding.line import LineConfig
 from repro.roadnet import WeightedDigraph
+from tests.oracles.embedding import weighted_choice
 
 
 def ring_graph(n=12):

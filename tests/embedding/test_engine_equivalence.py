@@ -1,11 +1,14 @@
-"""Downstream equivalence of the vectorized and reference engines.
+"""Downstream equivalence of the vectorized engine and the scalar oracle.
 
-The tentpole promise of the alias-sampled engine is "same model, faster":
+The promise of the alias-sampled engine is "same model, faster":
 swapping the pre-training implementation must not change what the
 pre-trained matrices are *for*.  These tests check the two consumer-facing
 properties — cluster geometry of the embeddings themselves, and the test
-MAE of a DeepOD trained on top of each engine's initialisation.
+MAE of a DeepOD trained on top of each initialisation.  The oracle runs
+through ``reference_embedding()`` from ``tests/oracles/embedding.py``.
 """
+
+import contextlib
 
 import numpy as np
 import pytest
@@ -14,6 +17,12 @@ from repro.core import DeepODConfig, DeepODTrainer, build_deepod
 from repro.datagen import DatasetSpec, build, strip_trajectories
 from repro.embedding import EmbeddingConfig, embed_graph
 from repro.roadnet import WeightedDigraph
+from tests.oracles.embedding import reference_embedding
+
+
+def engine_context(engine: str):
+    return (reference_embedding() if engine == "reference"
+            else contextlib.nullcontext())
 
 
 def two_cliques(k=5):
@@ -29,9 +38,10 @@ def two_cliques(k=5):
 
 
 def clique_margin(engine: str, method: str, seed: int = 0) -> float:
-    emb = embed_graph(two_cliques(), EmbeddingConfig(
-        method=method, dim=16, num_walks=12, walk_length=10,
-        epochs=3, seed=seed, engine=engine))
+    with engine_context(engine):
+        emb = embed_graph(two_cliques(), EmbeddingConfig(
+            method=method, dim=16, num_walks=12, walk_length=10,
+            epochs=3, seed=seed))
     emb = emb / (np.linalg.norm(emb, axis=1, keepdims=True) + 1e-12)
     intra = np.mean([emb[i] @ emb[j]
                      for i in range(5) for j in range(5) if i != j])
@@ -64,9 +74,9 @@ class TestDownstreamDeepOD:
         config = DeepODConfig(
             d_s=8, d_t=8, d1_m=16, d2_m=8, d3_m=16, d4_m=8, d5_m=16,
             d6_m=8, d7_m=16, d9_m=16, d_h=16, d_traf=8, batch_size=16,
-            epochs=2, use_external_features=False, seed=0,
-            embed_engine=engine)
-        model = build_deepod(dataset, config)
+            epochs=2, use_external_features=False, seed=0)
+        with engine_context(engine):
+            model = build_deepod(dataset, config)
         trainer = DeepODTrainer(model, dataset, eval_every=0)
         trainer.fit(track_validation=False)
         test = strip_trajectories(dataset.split.test)

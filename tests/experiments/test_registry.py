@@ -39,6 +39,30 @@ class TestRecords:
         assert fetched.record.status == "running"
         assert fetched.record.config_hash == run.record.config_hash
 
+    def _rewrite_config(self, run, **extra):
+        path = os.path.join(run.directory, "config.json")
+        with open(path) as handle:
+            payload = json.load(handle)
+        payload.update(extra)
+        with open(path, "w") as handle:
+            json.dump(payload, handle)
+
+    def test_load_config_drops_legacy_engine_keys(self, tiny_config,
+                                                  tmp_path):
+        registry = RunRegistry(str(tmp_path))
+        run = registry.create_run("mini-chengdu", tiny_config, 0)
+        self._rewrite_config(run, nn_engine="reference",
+                             embed_engine="reference")
+        assert registry.load_config(run.run_id) == tiny_config
+
+    def test_load_config_rejects_unknown_field(self, tiny_config,
+                                               tmp_path):
+        registry = RunRegistry(str(tmp_path))
+        run = registry.create_run("mini-chengdu", tiny_config, 0)
+        self._rewrite_config(run, bogus=1)
+        with pytest.raises(RegistryError, match="unknown fields"):
+            registry.load_config(run.run_id)
+
     def test_metrics_stream_appends_jsonl(self, tiny_config, tmp_path):
         registry = RunRegistry(str(tmp_path))
         run = registry.create_run("mini-chengdu", tiny_config, 0)

@@ -1,10 +1,10 @@
 """Tests for the fused nn engine (``repro.nn.engine``).
 
-The ``"fast"`` engine's fused kernels — batched LSTM/GRU unrolls,
-im2col+GEMM Conv2d, single-node BatchNorm2d, fused losses and the masked
-mean pool — must match the per-op ``"reference"`` oracles in both the
-forward values and every gradient, across the sequence-length edge cases
-the Trajectory Encoder produces.
+The fused kernels — batched LSTM/GRU unrolls, im2col+GEMM Conv2d,
+single-node BatchNorm2d, fused losses and the masked mean pool — must
+match the per-op oracles of ``tests/oracles/nn.py`` in both the forward
+values and every gradient, across the sequence-length edge cases the
+Trajectory Encoder produces.
 """
 
 import numpy as np
@@ -12,17 +12,17 @@ import pytest
 
 from repro.nn import (
     GRU, LSTM, BatchNorm2d, Conv2d, Tensor, TwoLayerMLP, concat,
-    default_nn_engine, euclidean_loss, euclidean_loss_fused, mae_loss,
-    mae_loss_fused, masked_mean_pool, resolve_nn_engine, sequence_mask,
-    smooth_l1_loss, smooth_l1_loss_fused,
+    euclidean_loss, euclidean_loss_fused, mae_loss, mae_loss_fused,
+    masked_mean_pool, sequence_mask, smooth_l1_loss, smooth_l1_loss_fused,
 )
 from repro.nn.gradcheck import numeric_gradient
+from tests.oracles import nn as oracle
 
 RNG = np.random.default_rng(29)  # repro: allow[D001] seeded file-local RNG, shared on purpose
 
-# The sequence-length patterns both engines must agree on (satellite
-# edge cases): typical ragged, length-1 everywhere, all-equal lengths,
-# a padding row at max length, strictly decreasing lengths.
+# The sequence-length patterns kernel and oracle must agree on: typical
+# ragged, length-1 everywhere, all-equal lengths, a padding row at max
+# length, strictly decreasing lengths.
 LENGTH_CASES = [
     ("ragged", [3, 5, 2, 4]),
     ("length_one", [1, 1, 1, 1]),
@@ -33,18 +33,17 @@ LENGTH_CASES = [
 
 
 def _pair(layer_cls, input_size, hidden, seed):
-    """Two identically-initialised layers, one per engine."""
-    fast = layer_cls(input_size, hidden, rng=np.random.default_rng(seed),
-                     engine="fast")
-    ref = layer_cls(input_size, hidden, rng=np.random.default_rng(seed),
-                    engine="reference")
-    return fast, ref
+    """Two identically-initialised layers: one for the fused kernel,
+    one for the oracle."""
+    return tuple(layer_cls(input_size, hidden,
+                           rng=np.random.default_rng(seed))
+                 for _ in range(2))
 
 
-def _run_and_grads(layer, x, lengths):
+def _run_and_grads(layer, forward, x, lengths):
     layer.zero_grad()
     xt = Tensor(x.copy(), requires_grad=True)
-    outputs, final = layer(xt, lengths=lengths)
+    outputs, final = forward(layer, xt, lengths=lengths)
     # A loss touching both outputs and final exercises the whole graph.
     (outputs.sum() + (final * final).sum()).backward()
     params = {name: p.grad.copy() for name, p in layer.named_parameters()}
@@ -53,22 +52,23 @@ def _run_and_grads(layer, x, lengths):
 
 class TestEngineSelection:
     def test_resolve_explicit(self):
-        assert resolve_nn_engine("fast") == "fast"
-        assert resolve_nn_engine("reference") == "reference"
+        """``reference_engine()`` installs every oracle and restores the
+        fused bindings on exit."""
+        fused = LSTM.forward
+        with oracle.reference_engine():
+            assert LSTM.forward is oracle.lstm_forward
+            assert Conv2d.forward is oracle.conv2d_forward
+        assert LSTM.forward is fused
 
     def test_resolve_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            resolve_nn_engine("blas")
-
-    def test_env_default(self, monkeypatch):
-        monkeypatch.delenv("REPRO_NN_ENGINE", raising=False)
-        assert default_nn_engine() == "fast"
-        monkeypatch.setenv("REPRO_NN_ENGINE", "reference")
-        assert default_nn_engine() == "reference"
-        assert resolve_nn_engine(None) == "reference"
-        monkeypatch.setenv("REPRO_NN_ENGINE", "nonsense")
-        with pytest.raises(ValueError):
-            default_nn_engine()
+        # The layers have one implementation: no engine keyword exists.
+        for make in (lambda: LSTM(3, 2, rng=np.random.default_rng(0),
+                                  engine="reference"),
+                     lambda: Conv2d(1, 1, 1, rng=np.random.default_rng(0),
+                                    engine="reference"),
+                     lambda: BatchNorm2d(3, engine="reference")):
+            with pytest.raises(TypeError, match="engine"):
+                make()
 
     def test_sequence_mask(self):
         mask = sequence_mask(np.array([1, 3, 2]), 3)
@@ -83,8 +83,10 @@ class TestLSTMParity:
         steps = max(lengths)
         x = RNG.normal(size=(len(lengths), steps, 6))
         fast, ref = _pair(LSTM, 6, 5, seed=101)
-        out_f, fin_f, dx_f, dp_f = _run_and_grads(fast, x, lengths)
-        out_r, fin_r, dx_r, dp_r = _run_and_grads(ref, x, lengths)
+        out_f, fin_f, dx_f, dp_f = _run_and_grads(fast, LSTM.forward, x,
+                                                  lengths)
+        out_r, fin_r, dx_r, dp_r = _run_and_grads(ref, oracle.lstm_forward,
+                                                  x, lengths)
         np.testing.assert_allclose(out_f, out_r, atol=1e-12)
         np.testing.assert_allclose(fin_f, fin_r, atol=1e-12)
         np.testing.assert_allclose(dx_f, dx_r, atol=1e-10)
@@ -95,7 +97,7 @@ class TestLSTMParity:
     def test_numeric_gradcheck(self):
         lengths = [3, 2, 4]
         x = RNG.normal(size=(3, 4, 3)) * 0.5
-        lstm = LSTM(3, 2, rng=np.random.default_rng(7), engine="fast")
+        lstm = LSTM(3, 2, rng=np.random.default_rng(7))
 
         def scalar(arr):
             out, fin = lstm(Tensor(arr), lengths=lengths)
@@ -118,7 +120,8 @@ def _span_index_map(lengths):
 
 
 class TestSpanEncodeParity:
-    """``LSTM.encode_spans`` vs the concat/gather/forward composition."""
+    """``LSTM.encode_spans`` vs the concat/gather/forward composition
+    over the per-timestep oracle unroll."""
 
     @staticmethod
     def _run_fast(layer, tcodes, scodes, index_map, lengths):
@@ -139,7 +142,7 @@ class TestSpanEncodeParity:
         batch, steps = index_map.shape
         padded = dst[index_map.reshape(-1)].reshape(
             batch, steps, dst.shape[1])
-        _, h_n = layer(padded, lengths=lengths)
+        _, h_n = oracle.lstm_forward(layer, padded, lengths=lengths)
         (h_n * h_n).sum().backward()
         params = {n: p.grad.copy() for n, p in layer.named_parameters()}
         return h_n.data, tc.grad.copy(), sc.grad.copy(), params
@@ -184,7 +187,7 @@ class TestSpanEncodeParity:
         index_map = _span_index_map(lengths)
         tcodes = RNG.normal(size=(6, 2)) * 0.5
         scodes = RNG.normal(size=(6, 3)) * 0.5
-        lstm = LSTM(5, 3, rng=np.random.default_rng(9), engine="fast")
+        lstm = LSTM(5, 3, rng=np.random.default_rng(9))
 
         def scalar_t(arr):
             h = lstm.encode_spans(Tensor(arr), Tensor(scodes),
@@ -198,26 +201,18 @@ class TestSpanEncodeParity:
             tc.grad, numeric_gradient(scalar_t, tcodes.copy()),
             atol=1e-6)
 
-    def test_rejects_reference_engine(self):
-        lstm = LSTM(7, 4, rng=np.random.default_rng(11),
-                    engine="reference")
-        with pytest.raises(RuntimeError):
-            lstm.encode_spans(Tensor(RNG.normal(size=(2, 3))),
-                              Tensor(RNG.normal(size=(2, 4))),
-                              np.array([[0, 1]]), [2])
-
 
 class TestMLPConstTail:
-    """``TwoLayerMLP.forward_with_tail`` vs concat composition."""
+    """``TwoLayerMLP.forward_with_tail`` vs concat composition, through
+    the fused ``forward`` ("fast") and the per-op oracle ("reference")."""
 
     @pytest.mark.parametrize("engine", ["fast", "reference"])
     def test_matches_concat(self, engine):
         rng_seed = 404
-        mlp = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(rng_seed),
-                          engine=engine)
-        oracle = TwoLayerMLP(6, 5, 3,
-                             rng=np.random.default_rng(rng_seed),
-                             engine=engine)
+        mlp = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(rng_seed))
+        twin = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(rng_seed))
+        forward = (TwoLayerMLP.forward if engine == "fast"
+                   else oracle.mlp_forward)
         x = RNG.normal(size=(8, 4))
         tail = RNG.normal(size=(8, 2))
 
@@ -227,19 +222,18 @@ class TestMLPConstTail:
 
         xo = Tensor(x.copy(), requires_grad=True)
         joined = concat([xo, Tensor(tail.copy())], axis=-1)
-        ref = oracle(joined)
+        ref = forward(twin, joined)
         (ref * ref).sum().backward()
 
         np.testing.assert_allclose(out.data, ref.data, atol=1e-12)
         np.testing.assert_allclose(xt.grad, xo.grad, atol=1e-11)
         for (n1, p1), (_, p2) in zip(mlp.named_parameters(),
-                                     oracle.named_parameters()):
+                                     twin.named_parameters()):
             np.testing.assert_allclose(p1.grad, p2.grad, atol=1e-11,
                                        err_msg=n1)
 
     def test_rejects_bad_widths(self):
-        mlp = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(5),
-                          engine="fast")
+        mlp = TwoLayerMLP(6, 5, 3, rng=np.random.default_rng(5))
         with pytest.raises(ValueError):
             mlp.forward_with_tail(Tensor(RNG.normal(size=(4, 4))),
                                   RNG.normal(size=(4, 3)))
@@ -255,8 +249,10 @@ class TestGRUParity:
         steps = max(lengths)
         x = RNG.normal(size=(len(lengths), steps, 4))
         fast, ref = _pair(GRU, 4, 3, seed=202)
-        out_f, fin_f, dx_f, dp_f = _run_and_grads(fast, x, lengths)
-        out_r, fin_r, dx_r, dp_r = _run_and_grads(ref, x, lengths)
+        out_f, fin_f, dx_f, dp_f = _run_and_grads(fast, GRU.forward, x,
+                                                  lengths)
+        out_r, fin_r, dx_r, dp_r = _run_and_grads(ref, oracle.gru_forward,
+                                                  x, lengths)
         np.testing.assert_allclose(out_f, out_r, atol=1e-12)
         np.testing.assert_allclose(fin_f, fin_r, atol=1e-12)
         np.testing.assert_allclose(dx_f, dx_r, atol=1e-10)
@@ -267,7 +263,7 @@ class TestGRUParity:
     def test_numeric_gradcheck(self):
         lengths = [2, 3, 1]
         x = RNG.normal(size=(3, 3, 3)) * 0.5
-        gru = GRU(3, 2, rng=np.random.default_rng(8), engine="fast")
+        gru = GRU(3, 2, rng=np.random.default_rng(8))
 
         def scalar(arr):
             out, fin = gru(Tensor(arr), lengths=lengths)
@@ -285,17 +281,18 @@ class TestConvParity:
     def test_conv2d_matches_reference(self, stride, padding):
         x = RNG.normal(size=(2, 3, 6, 5))
         fast = Conv2d(3, 4, kernel_size=3, stride=stride, padding=padding,
-                      rng=np.random.default_rng(5), engine="fast")
+                      rng=np.random.default_rng(5))
         ref = Conv2d(3, 4, kernel_size=3, stride=stride, padding=padding,
-                     rng=np.random.default_rng(5), engine="reference")
+                     rng=np.random.default_rng(5))
         for layer in (fast, ref):
             layer.zero_grad()
         xf = Tensor(x.copy(), requires_grad=True)
         xr = Tensor(x.copy(), requires_grad=True)
         (fast(xf) ** 2).sum().backward()
-        (ref(xr) ** 2).sum().backward()
-        np.testing.assert_allclose(fast(Tensor(x)).data,
-                                   ref(Tensor(x)).data, atol=1e-12)
+        (oracle.conv2d_forward(ref, xr) ** 2).sum().backward()
+        np.testing.assert_allclose(
+            fast(Tensor(x)).data,
+            oracle.conv2d_forward(ref, Tensor(x)).data, atol=1e-12)
         np.testing.assert_allclose(xf.grad, xr.grad, atol=1e-10)
         np.testing.assert_allclose(fast.weight.grad, ref.weight.grad,
                                    atol=1e-10)
@@ -304,12 +301,12 @@ class TestConvParity:
 
     def test_batchnorm_training_matches_reference(self):
         x = RNG.normal(size=(4, 3, 5, 2))
-        fast = BatchNorm2d(3, engine="fast")
-        ref = BatchNorm2d(3, engine="reference")
+        fast = BatchNorm2d(3)
+        ref = BatchNorm2d(3)
         xf = Tensor(x.copy(), requires_grad=True)
         xr = Tensor(x.copy(), requires_grad=True)
         (fast(xf) ** 2).sum().backward()
-        (ref(xr) ** 2).sum().backward()
+        (oracle.batchnorm2d_forward(ref, xr) ** 2).sum().backward()
         np.testing.assert_allclose(xf.grad, xr.grad, atol=1e-9)
         np.testing.assert_allclose(fast.weight.grad, ref.weight.grad,
                                    atol=1e-9)
@@ -321,15 +318,18 @@ class TestConvParity:
                                    atol=1e-12)
 
     def test_batchnorm_eval_mode_shared(self):
-        """Eval mode always uses the running-stat path, engine-independent."""
+        """Eval mode always uses the running-stat path; the oracle's
+        training statistics must populate it identically."""
         x = RNG.normal(size=(2, 3, 4, 4))
-        fast = BatchNorm2d(3, engine="fast")
-        ref = BatchNorm2d(3, engine="reference")
+        fast = BatchNorm2d(3)
+        ref = BatchNorm2d(3)
+        fast(Tensor(x))           # populate running stats identically
+        oracle.batchnorm2d_forward(ref, Tensor(x))
         for bn in (fast, ref):
-            bn(Tensor(x))         # populate running stats identically
             bn.eval()
-        np.testing.assert_allclose(fast(Tensor(x)).data,
-                                   ref(Tensor(x)).data, atol=1e-12)
+        np.testing.assert_allclose(
+            fast(Tensor(x)).data,
+            oracle.batchnorm2d_forward(ref, Tensor(x)).data, atol=1e-12)
 
 
 class TestFusedLosses:
@@ -375,8 +375,7 @@ class TestFusedLosses:
         xf = Tensor(x.copy(), requires_grad=True)
         xr = Tensor(x.copy(), requires_grad=True)
         pooled = masked_mean_pool(xf, mask)
-        counts = Tensor(mask.sum(axis=1, keepdims=True))
-        chain = (xr * Tensor(mask[:, :, None])).sum(axis=1) / counts
+        chain = oracle.masked_mean_pool(xr, mask)
         np.testing.assert_allclose(pooled.data, chain.data, atol=1e-12)
         (pooled ** 2).sum().backward()
         (chain ** 2).sum().backward()
@@ -386,7 +385,7 @@ class TestFusedLosses:
 class TestDtypeDiscipline:
     def test_fast_lstm_keeps_float32(self):
         """A float32 model stays float32 end to end (no silent upcast)."""
-        lstm = LSTM(3, 2, rng=np.random.default_rng(3), engine="fast")
+        lstm = LSTM(3, 2, rng=np.random.default_rng(3))
         for p in lstm.parameters():
             p.data = p.data.astype(np.float32)  # repro: allow[N001] exercising the low-precision path on purpose
         x = RNG.normal(size=(2, 3, 3)).astype(np.float32)  # repro: allow[N001] exercising the low-precision path on purpose
@@ -395,7 +394,7 @@ class TestDtypeDiscipline:
         assert fin.dtype == lstm.cell.weight.dtype
 
     def test_fast_lstm_rejects_mismatched_input(self):
-        lstm = LSTM(3, 2, rng=np.random.default_rng(3), engine="fast")
+        lstm = LSTM(3, 2, rng=np.random.default_rng(3))
         for p in lstm.parameters():
             p.data = p.data.astype(np.float32)  # repro: allow[N001] exercising the low-precision path on purpose
         x = RNG.normal(size=(2, 3, 3))          # float64 input
@@ -403,10 +402,9 @@ class TestDtypeDiscipline:
             lstm(Tensor(x), lengths=[2, 3])
 
     def test_reference_lstm_rejects_mismatched_input(self):
-        lstm = LSTM(3, 2, rng=np.random.default_rng(3),
-                    engine="reference")
+        lstm = LSTM(3, 2, rng=np.random.default_rng(3))
         for p in lstm.parameters():
             p.data = p.data.astype(np.float32)  # repro: allow[N001] exercising the low-precision path on purpose
         x = RNG.normal(size=(2, 3, 3))
         with pytest.raises(TypeError, match="dtype"):
-            lstm(Tensor(x), lengths=[2, 3])
+            oracle.lstm_forward(lstm, Tensor(x), lengths=[2, 3])

@@ -1,15 +1,15 @@
-"""Tests for repro.nn.functional helpers and initialisation schemes."""
+"""Tests for repro.nn.functional helpers, the oracle conv padding and
+initialisation schemes."""
 
 import numpy as np
 import pytest
 
-from repro.nn import (
-    Tensor, dropout, global_avg_pool2d, pad2d, avg_pool_over_axis,
-)
+from repro.nn import Tensor, dropout, global_avg_pool2d, avg_pool_over_axis
 from repro.nn import init as _unused  # noqa: F401
 from repro.nn.init import (
     kaiming_uniform, normal, uniform_fan_in, xavier_uniform,
 )
+from tests.oracles.nn import pad2d
 
 
 RNG = np.random.default_rng(29)  # repro: allow[D001] seeded file-local RNG, shared on purpose

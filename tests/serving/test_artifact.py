@@ -107,6 +107,18 @@ class TestValidation:
         with pytest.raises(ArtifactError, match="unknown fields"):
             load_artifact(directory)
 
+    def test_legacy_engine_keys_load(self, tmp_path, trained_predictor,
+                                     serving_dataset):
+        directory = save_artifact(str(tmp_path / "a"), trained_predictor)
+        config_path = os.path.join(directory, "config.json")
+        with open(config_path) as handle:
+            payload = json.load(handle)
+        payload.update(nn_engine="reference", embed_engine="reference")
+        with open(config_path, "w") as handle:
+            json.dump(payload, handle)
+        loaded = load_artifact(directory, dataset=serving_dataset)
+        assert loaded.model.config == trained_predictor.model.config
+
 
 class TestSaveStatePath:
     def test_returns_real_path_when_suffix_missing(self, tmp_path,

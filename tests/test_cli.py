@@ -78,27 +78,6 @@ class TestCommands:
             main(["compare", "--trips", "60", "--days", "7",
                   "--methods", "SVM"])
 
-    def test_sweep_w_runs(self, capsys):
-        code = main(["sweep-w", "--trips", "60", "--days", "7",
-                     "--epochs", "1", "--weights", "0.3"])
-        assert code == 0
-        assert "MAPE" in capsys.readouterr().out
-
-    def test_sweep_w_parallel_writes_json(self, tmp_path, capsys):
-        out_path = str(tmp_path / "sweep.json")
-        code = main(["sweep-w", "--trips", "60", "--days", "7",
-                     "--epochs", "1", "--weights", "0.1", "0.5",
-                     "--jobs", "2", "--out", out_path])
-        assert code == 0
-        import json
-        with open(out_path) as handle:
-            payload = json.load(handle)
-        assert payload["num_points"] == 2
-        assert payload["num_failed"] == 0
-        weights = [r["overrides"]["aux_weight"]
-                   for r in payload["results"]]
-        assert weights == [0.1, 0.5]
-
 
 class TestExpCommands:
     def test_exp_parser_defaults(self):
@@ -119,6 +98,24 @@ class TestExpCommands:
         with pytest.raises(SystemExit):
             main(["exp", "sweep", "--grid", "no-equals-sign",
                   "--runs-dir", str(tmp_path / "runs")])
+
+    def test_exp_sweep_parallel_writes_json(self, tmp_path, capsys):
+        out_path = str(tmp_path / "sweep.json")
+        code = main(["exp", "sweep", "--trips", "60", "--days", "7",
+                     "--epochs", "1", "--eval-every", "0",
+                     "--grid", "aux_weight=0.1,0.5", "--jobs", "2",
+                     "--runs-dir", str(tmp_path / "runs"),
+                     "--out", out_path])
+        assert code == 0
+        assert "MAPE" in capsys.readouterr().out
+        import json
+        with open(out_path) as handle:
+            payload = json.load(handle)
+        assert payload["num_points"] == 2
+        assert payload["num_failed"] == 0
+        weights = [r["overrides"]["aux_weight"]
+                   for r in payload["results"]]
+        assert weights == [0.1, 0.5]
 
     def test_exp_pipeline_end_to_end(self, tmp_path, capsys):
         """run -> list -> promote against a tiny config, exercising the
