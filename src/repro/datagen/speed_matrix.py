@@ -193,8 +193,7 @@ class SpeedMatrixAccumulator:
                                        / cfg.period_seconds)), 1)
         self._sums = np.zeros((self.periods, self.rows, self.cols))
         self._counts = np.zeros_like(self._sums)
-        self._edge_lengths = np.array(
-            [net.edge(eid).length for eid in range(net.num_edges)])
+        self._edge_lengths = net.arrays().length
         self._edge_rows, self._edge_cols = edge_cell_indices(net, self)
 
     def add(self, edge_ids: np.ndarray, intervals: np.ndarray) -> None:

@@ -22,7 +22,7 @@ from typing import Iterator, List, Optional, Tuple
 import numpy as np
 
 from ..roadnet.graph import RoadNetwork
-from ..roadnet.shortest_path import NoPathError, dijkstra, perturbed_route
+from ..roadnet.shortest_path import NoPathError, perturbed_route
 from ..roadnet.spatial_index import SpatialIndex
 from ..temporal.timeslot import SECONDS_PER_DAY
 from ..trajectory.model import (

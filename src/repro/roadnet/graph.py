@@ -93,7 +93,8 @@ class RoadNetwork:
         self._in: Dict[int, List[int]] = {}
         self._by_endpoints: Dict[Tuple[int, int], int] = {}
         self._arrays: Optional[EdgeArrays] = None
-        self._adjacency: Optional[List[List[Tuple[int, float]]]] = None
+        self._adjacency: Optional[Tuple[List[List[Tuple[int, int]]],
+                                        List[float]]] = None
 
     # ------------------------------------------------------------------
     # Construction
@@ -171,18 +172,21 @@ class RoadNetwork:
             self._arrays = arrays
         return self._arrays
 
-    def out_adjacency(self) -> List[List[Tuple[int, float]]]:
-        """``(head vertex, edge length)`` pairs per vertex, in the CSR's
-        (insertion) order: the plain-Python form the heap kernels loop
-        over, free of :class:`Edge` lookups."""
+    def out_adjacency(self) -> Tuple[List[List[Tuple[int, int]]],
+                                     List[float]]:
+        """``(head vertex, edge id)`` pairs per vertex, in the CSR's
+        (insertion) order, and the edge lengths indexed by edge id: the
+        plain-Python form the shortest-path kernel loops over, free of
+        :class:`Edge` lookups."""
         if self._adjacency is None:
             arr = self.arrays()
             heads = arr.end[arr.out_edges].tolist()
-            costs = arr.length[arr.out_edges].tolist()
+            eids = arr.out_edges.tolist()
             ptr = arr.out_indptr.tolist()
-            self._adjacency = [list(zip(heads[ptr[v]:ptr[v + 1]],
-                                        costs[ptr[v]:ptr[v + 1]]))
-                               for v in range(self.num_vertices)]
+            rows = [list(zip(heads[ptr[v]:ptr[v + 1]],
+                             eids[ptr[v]:ptr[v + 1]]))
+                    for v in range(self.num_vertices)]
+            self._adjacency = (rows, arr.length.tolist())
         return self._adjacency
 
     # ------------------------------------------------------------------

@@ -2,13 +2,15 @@
 
 Route-diversity analysis for the simulator and the Example 1 scenario
 (the same OD pair served by several sensible routes).  Standard Yen's
-algorithm on top of Dijkstra with edge/vertex exclusion.
+algorithm on top of :func:`dijkstra`: each spur search runs over a copy
+of the edge lengths with ``inf`` on the banned edges and on every edge
+into a banned vertex, which the search never relaxes.
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, List, Optional, Set, Tuple
+from typing import List, Set, Tuple
 
 import numpy as np
 
@@ -16,48 +18,14 @@ from .graph import RoadNetwork
 from .shortest_path import NoPathError, dijkstra
 
 
-def _dijkstra_excluding(net: RoadNetwork, source: int, target: int,
-                        banned_edges: Set[int], banned_vertices: Set[int],
-                        edge_cost: Callable[[int], float]
-                        ) -> Tuple[List[int], float]:
-    dist = {source: 0.0}
-    prev = {}
-    heap = [(0.0, source)]
-    visited = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in visited:
-            continue
-        visited.add(v)
-        if v == target:
-            path = []
-            node = target
-            while node != source:
-                eid = prev[node]
-                path.append(eid)
-                node = net.edge(eid).start
-            path.reverse()
-            return path, d
-        for edge in net.out_edges(v):
-            if edge.edge_id in banned_edges or edge.end in banned_vertices:
-                continue
-            nd = d + edge_cost(edge.edge_id)
-            if nd < dist.get(edge.end, np.inf):
-                dist[edge.end] = nd
-                prev[edge.end] = edge.edge_id
-                heapq.heappush(heap, (nd, edge.end))
-    raise NoPathError(f"no path from {source} to {target}")
-
-
-def k_shortest_paths(net: RoadNetwork, source: int, target: int, k: int,
-                     edge_cost: Optional[Callable[[int], float]] = None
+def k_shortest_paths(net: RoadNetwork, source: int, target: int, k: int
                      ) -> List[Tuple[List[int], float]]:
-    """Up to ``k`` loopless shortest paths, ascending by cost (Yen 1971)."""
+    """Up to ``k`` loopless shortest paths by edge length, ascending by
+    cost (Yen 1971)."""
     if k < 1:
         raise ValueError("k must be >= 1")
-    if edge_cost is None:
-        edge_cost = lambda eid: net.edge(eid).length  # noqa: E731
-    first = dijkstra(net, source, target, edge_cost=edge_cost)
+    arrays = net.arrays()
+    first = dijkstra(net, source, target)
     paths: List[Tuple[List[int], float]] = [first]
     candidates: List[Tuple[float, List[int]]] = []
     seen = {tuple(first[0])}
@@ -66,20 +34,21 @@ def k_shortest_paths(net: RoadNetwork, source: int, target: int, k: int,
         prev_path = paths[-1][0]
         for i in range(len(prev_path)):
             # Spur node: start vertex of edge i of the previous path.
-            spur_edge = net.edge(prev_path[i])
-            spur_node = spur_edge.start
+            spur_node = net.edge(prev_path[i]).start
             root = prev_path[:i]
-            root_cost = sum(edge_cost(e) for e in root)
+            root_cost = sum(net.edge(e).length for e in root)
             banned_edges: Set[int] = set()
             for path, _ in paths:
                 if path[:i] == root and len(path) > i:
                     banned_edges.add(path[i])
             # Ban root vertices to keep paths loopless.
-            banned_vertices = {net.edge(e).start for e in root}
+            banned_vertices = [net.edge(e).start for e in root]
+            masked = arrays.length.copy()
+            masked[list(banned_edges)] = np.inf
+            masked[np.isin(arrays.end, banned_vertices)] = np.inf
             try:
-                spur, spur_cost = _dijkstra_excluding(
-                    net, spur_node, target, banned_edges,
-                    banned_vertices, edge_cost)
+                spur, spur_cost = dijkstra(net, spur_node, target,
+                                           edge_cost=masked)
             except NoPathError:
                 continue
             total = root + spur

@@ -1,18 +1,22 @@
 """Shortest-path routing over road networks.
 
 Used by the trip simulator (route choice), the map matcher (transition
-probabilities need network distances between candidate edges) and the TEMP
-baseline (not directly, but its neighbourhood queries reuse the spatial
-index).  Provides static Dijkstra / A* over edge lengths and a
-time-dependent variant whose edge costs come from the traffic model, plus a
-stochastic perturbed-cost router so two trips over the same OD pair can take
+probabilities need network distances between candidate edges, and gaps
+between matched edges are filled with point-to-point paths), the serving
+route tier (shortest path under live per-edge seconds) and Yen's k
+shortest paths.  All of them run on one heap search, :func:`_search`,
+over :meth:`RoadNetwork.out_adjacency` with a per-edge cost list:
+:func:`dijkstra` wraps it as a point-to-point route and
+:func:`dijkstra_sssp` as a full distance row.  Costs are arrays indexed
+by edge id, never callbacks; :func:`perturbed_route` draws one
+log-normal factor per edge so two trips over the same OD pair can take
 different routes (the phenomenon motivating the paper's Example 1).
 """
 
 from __future__ import annotations
 
 import heapq
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -23,58 +27,22 @@ class NoPathError(Exception):
     """Raised when no route exists between the requested vertices."""
 
 
-def dijkstra(net: RoadNetwork, source: int, target: int,
-             edge_cost: Optional[Callable[[int], float]] = None
-             ) -> Tuple[List[int], float]:
-    """Shortest path from ``source`` to ``target`` vertex.
+def _search(net: RoadNetwork, source: int, target: int,
+            cost: Sequence[float]) -> Tuple[List[float], List[int]]:
+    """Dijkstra from ``source`` over per-edge ``cost`` (indexed by edge
+    id), stopping once ``target`` settles; ``target=-1`` settles every
+    reachable vertex.
 
-    Parameters
-    ----------
-    edge_cost:
-        Cost of traversing an edge id; defaults to edge length.
-
-    Returns
-    -------
-    (edge_ids, total_cost)
+    Returns the distance list (``inf`` where unreached) and the
+    predecessor edge of each reached vertex (``-1`` elsewhere).  Ties
+    resolve by ``(distance, vertex)`` heap order and strict ``<``
+    relaxation: the first vertex settled keeps an equal-cost head, so
+    tied paths are deterministic.  Vertex ids must be dense
+    ``0..|V|-1``.
     """
-    if edge_cost is None:
-        edge_cost = lambda eid: net.edge(eid).length  # noqa: E731
-    dist: Dict[int, float] = {source: 0.0}
-    prev_edge: Dict[int, int] = {}
-    heap: List[Tuple[float, int]] = [(0.0, source)]
-    visited = set()
-    while heap:
-        d, v = heapq.heappop(heap)
-        if v in visited:
-            continue
-        visited.add(v)
-        if v == target:
-            return _reconstruct(net, prev_edge, source, target), d
-        for edge in net.out_edges(v):
-            cost = edge_cost(edge.edge_id)
-            if cost < 0:
-                raise ValueError("negative edge cost")
-            nd = d + cost
-            if nd < dist.get(edge.end, np.inf):
-                dist[edge.end] = nd
-                prev_edge[edge.end] = edge.edge_id
-                heapq.heappush(heap, (nd, edge.end))
-    raise NoPathError(f"no path from {source} to {target}")
-
-
-def dijkstra_sssp(net: RoadNetwork, source: int) -> np.ndarray:
-    """Single-source edge-length distances to *every* vertex.
-
-    Returns a ``(num_vertices,)`` float array with ``np.inf`` for
-    unreachable vertices.  Distances agree exactly with point-to-point
-    :func:`dijkstra` (same relaxation arithmetic, no early exit), which
-    is what lets the vectorised map matcher cache one row per source
-    vertex instead of one entry per vertex pair.  The heap runs over
-    :meth:`RoadNetwork.out_adjacency`: plain lists, no :class:`Edge`
-    objects and no cost callback.
-    """
-    adjacency = net.out_adjacency()
+    adjacency, _ = net.out_adjacency()
     dist = [np.inf] * net.num_vertices
+    prev = [-1] * net.num_vertices
     dist[source] = 0.0
     heap: List[Tuple[float, int]] = [(0.0, source)]
     pop, push = heapq.heappop, heapq.heappush
@@ -85,82 +53,68 @@ def dijkstra_sssp(net: RoadNetwork, source: int) -> np.ndarray:
         # is the usual visited check.
         if d > dist[v]:
             continue
-        for w, cost in adjacency[v]:
-            nd = d + cost
+        if v == target:
+            break
+        for w, eid in adjacency[v]:
+            nd = d + cost[eid]
             if nd < dist[w]:
                 dist[w] = nd
+                prev[w] = eid
                 push(heap, (nd, w))
+    return dist, prev
+
+
+def dijkstra(net: RoadNetwork, source: int, target: int,
+             edge_cost: Optional[np.ndarray] = None
+             ) -> Tuple[List[int], float]:
+    """Shortest path from ``source`` to ``target`` vertex.
+
+    Parameters
+    ----------
+    edge_cost:
+        Non-negative ``(num_edges,)`` float array of per-edge costs;
+        defaults to edge length.  An ``inf`` entry bars its edge.
+
+    Returns
+    -------
+    (edge_ids, total_cost)
+    """
+    if edge_cost is None:
+        _, cost = net.out_adjacency()
+    else:
+        edge_cost = np.asarray(edge_cost, dtype=np.float64)
+        if edge_cost.shape != (net.num_edges,):
+            raise ValueError(f"edge_cost must have shape ({net.num_edges},),"
+                             f" got {edge_cost.shape}")
+        if not (edge_cost >= 0).all():
+            raise ValueError("negative edge cost")
+        cost = edge_cost.tolist()
+    dist, prev = _search(net, source, target, cost)
+    if dist[target] == np.inf:
+        raise NoPathError(f"no path from {source} to {target}")
+    start = net.arrays().start
+    path: List[int] = []
+    v = target
+    while v != source:
+        eid = prev[v]
+        path.append(eid)
+        v = start[eid]
+    path.reverse()
+    return path, dist[target]
+
+
+def dijkstra_sssp(net: RoadNetwork, source: int) -> np.ndarray:
+    """Single-source edge-length distances to *every* vertex.
+
+    Returns a ``(num_vertices,)`` float array with ``np.inf`` for
+    unreachable vertices.  Distances agree exactly with point-to-point
+    :func:`dijkstra` (the same search, without the early exit), which
+    is what lets the vectorised map matcher cache one row per source
+    vertex instead of one entry per vertex pair.
+    """
+    _, lengths = net.out_adjacency()
+    dist, _ = _search(net, source, -1, lengths)
     return np.array(dist)
-
-
-def astar(net: RoadNetwork, source: int, target: int,
-          max_speed: Optional[float] = None) -> Tuple[List[int], float]:
-    """A* over edge lengths with a Euclidean admissible heuristic.
-
-    ``max_speed`` is unused for length costs but kept for symmetry with the
-    time-dependent variant's heuristic scaling.
-    """
-    tx, ty = net.vertex(target).xy
-
-    def heuristic(v: int) -> float:
-        vert = net.vertex(v)
-        return float(np.hypot(vert.x - tx, vert.y - ty))
-
-    dist: Dict[int, float] = {source: 0.0}
-    prev_edge: Dict[int, int] = {}
-    heap: List[Tuple[float, int]] = [(heuristic(source), source)]
-    visited = set()
-    while heap:
-        _, v = heapq.heappop(heap)
-        if v in visited:
-            continue
-        visited.add(v)
-        if v == target:
-            return _reconstruct(net, prev_edge, source, target), dist[v]
-        for edge in net.out_edges(v):
-            nd = dist[v] + edge.length
-            if nd < dist.get(edge.end, np.inf):
-                dist[edge.end] = nd
-                prev_edge[edge.end] = edge.edge_id
-                heapq.heappush(heap, (nd + heuristic(edge.end), edge.end))
-    raise NoPathError(f"no path from {source} to {target}")
-
-
-def time_dependent_dijkstra(
-        net: RoadNetwork, source: int, target: int, depart_time: float,
-        travel_time_fn: Callable[[int, float], float]
-) -> Tuple[List[int], float]:
-    """Earliest-arrival routing under time-varying edge travel times.
-
-    ``travel_time_fn(edge_id, enter_time)`` returns the seconds needed to
-    traverse the edge when entered at ``enter_time``.  Assumes the FIFO
-    property (leaving later never means arriving earlier), which the traffic
-    model satisfies.
-
-    Returns (edge_ids, total_travel_seconds).
-    """
-    arrival: Dict[int, float] = {source: depart_time}
-    prev_edge: Dict[int, int] = {}
-    heap: List[Tuple[float, int]] = [(depart_time, source)]
-    visited = set()
-    while heap:
-        t, v = heapq.heappop(heap)
-        if v in visited:
-            continue
-        visited.add(v)
-        if v == target:
-            return (_reconstruct(net, prev_edge, source, target),
-                    t - depart_time)
-        for edge in net.out_edges(v):
-            dt = travel_time_fn(edge.edge_id, t)
-            if dt <= 0:
-                raise ValueError("travel time must be positive")
-            at = t + dt
-            if at < arrival.get(edge.end, np.inf):
-                arrival[edge.end] = at
-                prev_edge[edge.end] = edge.edge_id
-                heapq.heappush(heap, (at, edge.end))
-    raise NoPathError(f"no path from {source} to {target}")
 
 
 def perturbed_route(net: RoadNetwork, source: int, target: int,
@@ -173,11 +127,8 @@ def perturbed_route(net: RoadNetwork, source: int, target: int,
     return different (but sensible) routes for the same OD pair.
     """
     factors = np.exp(rng.normal(0.0, noise, size=net.num_edges))
-
-    def cost(eid: int) -> float:
-        return net.edge(eid).length * float(factors[eid])
-
-    edges, _ = dijkstra(net, source, target, edge_cost=cost)
+    edges, _ = dijkstra(net, source, target,
+                        edge_cost=net.arrays().length * factors)
     true_length = sum(net.edge(e).length for e in edges)
     return edges, true_length
 
@@ -192,15 +143,3 @@ def is_connected_path(net: RoadNetwork, edge_ids: List[int]) -> bool:
         if net.edge(prev).end != net.edge(nxt).start:
             return False
     return True
-
-
-def _reconstruct(net: RoadNetwork, prev_edge: Dict[int, int],
-                 source: int, target: int) -> List[int]:
-    path: List[int] = []
-    v = target
-    while v != source:
-        eid = prev_edge[v]
-        path.append(eid)
-        v = net.edge(eid).start
-    path.reverse()
-    return path

@@ -53,8 +53,7 @@ class RouteTimeBaseline:
         self.min_cell_speed = min_cell_speed
         store = store_provider()
         self._rows, self._cols = edge_cell_indices(net, store)
-        self._lengths = np.array([net.edge(e).length
-                                  for e in range(net.num_edges)])
+        self._lengths = net.arrays().length
 
     # ------------------------------------------------------------------
     def _edge_seconds(self, t: float) -> np.ndarray:
@@ -73,15 +72,18 @@ class RouteTimeBaseline:
         costs = (self._edge_seconds(od.depart_time)
                  if edge_seconds is None else edge_seconds)
         o_edge, d_edge = od.origin_edge, od.destination_edge
-        if o_edge == d_edge:
-            span = abs(od.ratio_end - od.ratio_start)
+        # Origin and destination snap to edges independently: on one
+        # edge the short form holds only driving forwards (the matcher's
+        # transition rule); a destination behind the origin needs the
+        # way round, like two different edges.
+        if o_edge == d_edge and od.ratio_end >= od.ratio_start:
+            span = od.ratio_end - od.ratio_start
             return float(max(span * costs[o_edge], 1e-3))
         o, d = self.net.edge(o_edge), self.net.edge(d_edge)
         seconds = (1.0 - od.ratio_start) * costs[o_edge]
         if o.end != d.start:
-            path, path_seconds = dijkstra(
-                self.net, o.end, d.start,
-                edge_cost=lambda eid: float(costs[eid]))
+            _, path_seconds = dijkstra(self.net, o.end, d.start,
+                                       edge_cost=costs)
             seconds += path_seconds
         seconds += od.ratio_end * costs[d_edge]
         return float(max(seconds, 1e-3))

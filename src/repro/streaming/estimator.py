@@ -64,8 +64,7 @@ class StreamingSpeedEstimator:
         self.min_weight = float(min_weight_metres)
 
         self._edge_rows, self._edge_cols = edge_cell_indices(net, base_store)
-        self._edge_len = np.array([net.edge(e).length
-                                   for e in range(net.num_edges)])
+        self._edge_len = net.arrays().length
 
         # Decayed running sums over every published period, plus pending
         # per-period accumulators awaiting their publish tick.

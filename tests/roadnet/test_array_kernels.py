@@ -1,12 +1,15 @@
 """Parity of the array-backed road-network kernels with their object-
-walking oracles: per-edge arrays, the CSR SSSP rows and the cached-
-neighbourhood radius query."""
+walking oracles: per-edge arrays, the one shortest-path search behind
+point-to-point routes, masked spur searches and SSSP rows, and the
+cached-neighbourhood radius query."""
 
 import numpy as np
 import pytest
 
 from repro.roadnet import RoadNetwork, SpatialIndex, grid_city
-from repro.roadnet.shortest_path import dijkstra, dijkstra_sssp
+from repro.roadnet.shortest_path import (
+    NoPathError, dijkstra, dijkstra_sssp, perturbed_route,
+)
 
 from tests.oracles import roadnet as oracle
 
@@ -49,8 +52,12 @@ class TestEdgeArrays:
         for v in range(net.num_vertices):
             row = arr.out_edges[arr.out_indptr[v]:arr.out_indptr[v + 1]]
             assert row.tolist() == [e.edge_id for e in net.out_edges(v)]
-        assert net.out_adjacency()[3] == [(e.end, e.length)
-                                          for e in net.out_edges(3)]
+        adjacency, lengths = net.out_adjacency()
+        for v in range(net.num_vertices):
+            assert adjacency[v] == [(e.end, e.edge_id)
+                                    for e in net.out_edges(v)]
+        assert lengths == [e.length for e in net.edges()]
+        assert net.out_adjacency() is net.out_adjacency()
 
     def test_mutation_invalidates_cache(self):
         net = RoadNetwork()
@@ -60,7 +67,9 @@ class TestEdgeArrays:
         assert dijkstra_sssp(net, 0)[2] == np.inf
         net.add_edge(1, 2)
         assert net.arrays().length.shape == (2,)
+        assert len(net.out_adjacency()[1]) == 2
         assert dijkstra_sssp(net, 0)[2] == 200.0
+        assert dijkstra(net, 0, 2) == ([0, 1], 200.0)
 
     def test_sparse_vertex_ids_rejected(self):
         net = RoadNetwork()
@@ -93,6 +102,90 @@ class TestSSSPParity:
                                                          source).tobytes()
             for target in range(0, net.num_vertices, 11):
                 assert dijkstra(net, source, target)[1] == row[target]
+
+
+def _routes(route, net):
+    """``route(source, target)`` for every vertex pair of ``net``, with
+    :class:`NoPathError` recorded as ``None``."""
+    out = {}
+    for source in range(net.num_vertices):
+        for target in range(net.num_vertices):
+            try:
+                out[source, target] = route(source, target)
+            except NoPathError:
+                out[source, target] = None
+    return out
+
+
+class TestDijkstraParity:
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_pairs_default_lengths(self, seed):
+        net = _random_net(seed)
+        fast = _routes(lambda s, t: dijkstra(net, s, t), net)
+        slow = _routes(lambda s, t: oracle.dijkstra(net, s, t), net)
+        assert fast == slow
+        # Sources-only vertices are unreachable; every vertex reaches
+        # itself on the empty path.
+        assert fast[0, net.num_vertices - 1] is None
+        assert all(fast[v, v] == ([], 0.0) for v in range(net.num_vertices))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_all_pairs_perturbed_costs(self, seed):
+        net = _random_net(seed)
+        rng = np.random.default_rng(100 + seed)
+        cost = net.arrays().length * np.exp(
+            rng.normal(0.0, 0.3, size=net.num_edges))
+        fast = _routes(lambda s, t: dijkstra(net, s, t, edge_cost=cost),
+                       net)
+        slow = _routes(lambda s, t: oracle.dijkstra(
+            net, s, t, edge_cost=lambda e: float(cost[e])), net)
+        assert fast == slow
+        for route in fast.values():
+            if route is not None:
+                assert all(type(e) is int for e in route[0])
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_masked_costs_equal_excluding_search(self, seed):
+        net = _random_net(seed)
+        arr = net.arrays()
+        rng = np.random.default_rng(200 + seed)
+        length = lambda e: net.edge(e).length  # noqa: E731
+        for _ in range(40):
+            banned_edges = set(rng.choice(
+                net.num_edges, size=int(rng.integers(0, 30)),
+                replace=False).tolist())
+            banned_vertices = set(rng.choice(
+                net.num_vertices, size=int(rng.integers(0, 8)),
+                replace=False).tolist())
+            masked = arr.length.copy()
+            masked[list(banned_edges)] = np.inf
+            masked[np.isin(arr.end, list(banned_vertices))] = np.inf
+            source, target = (int(v) for v in
+                              rng.integers(net.num_vertices, size=2))
+            try:
+                fast = dijkstra(net, source, target, edge_cost=masked)
+            except NoPathError:
+                fast = None
+            try:
+                slow = oracle.dijkstra_excluding(
+                    net, source, target, banned_edges, banned_vertices,
+                    length)
+            except NoPathError:
+                slow = None
+            assert fast == slow
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_perturbed_route_equals_oracle(self, seed):
+        net = grid_city(7, 7, seed=seed)
+        ours = np.random.default_rng(seed)
+        theirs = np.random.default_rng(seed)
+        for _ in range(25):
+            source, target = (int(v) for v in
+                              ours.integers(net.num_vertices, size=2))
+            theirs.integers(net.num_vertices, size=2)
+            assert perturbed_route(net, source, target, ours, noise=0.5) \
+                == oracle.perturbed_route(net, source, target, theirs,
+                                          noise=0.5)
 
 
 class TestRadiusQueryParity:

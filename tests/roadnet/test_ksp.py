@@ -42,6 +42,19 @@ class TestKShortestPaths:
             vertices += [city.edge(e).end for e in path]
             assert len(vertices) == len(set(vertices))
 
+    def test_spur_paths_never_revisit_the_root(self):
+        """From spur vertex 1 the only way on runs back through root
+        vertex 0 (1 -> 2 -> 0 -> 4 -> 3): a loop, so Yen must drop it."""
+        net = RoadNetwork()
+        for v in range(5):
+            net.add_vertex(v, 100.0 * v, 0.0)
+        for a, b, length in [(0, 1, 1.0), (1, 3, 1.0), (1, 2, 1.0),
+                             (2, 0, 1.0), (0, 4, 1.0), (4, 3, 1.5)]:
+            net.add_edge(a, b, length=length)
+        paths = k_shortest_paths(net, 0, 3, k=3)
+        assert [(cost, [net.edge(e).end for e in path])
+                for path, cost in paths] == [(2.0, [1, 3]), (2.5, [4, 3])]
+
     def test_k_one(self, city):
         paths = k_shortest_paths(city, 0, 7, k=1)
         assert len(paths) == 1

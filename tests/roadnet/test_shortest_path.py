@@ -1,11 +1,11 @@
-"""Tests for routing: Dijkstra, A*, time-dependent and perturbed variants."""
+"""Tests for routing: point-to-point Dijkstra and the perturbed router."""
 
 import numpy as np
 import pytest
 
 from repro.roadnet import (
-    NoPathError, RoadNetwork, astar, dijkstra, grid_city, is_connected_path,
-    path_length, perturbed_route, time_dependent_dijkstra,
+    NoPathError, RoadNetwork, dijkstra, grid_city, is_connected_path,
+    path_length, perturbed_route,
 )
 
 
@@ -41,60 +41,34 @@ class TestDijkstra:
 
     def test_custom_cost_changes_route(self, line_net):
         # Make the middle edge prohibitively expensive.
-        def cost(eid):
-            edge = line_net.edge(eid)
-            if edge.start == 1 and edge.end == 2:
-                return 1e9
-            return edge.length
-
+        cost = line_net.arrays().length.copy()
+        cost[line_net.edge_between(1, 2).edge_id] = 1e9
         edges, _ = dijkstra(line_net, 0, 3, edge_cost=cost)
         assert [line_net.edge(e).end for e in edges] == [4, 3]
 
-    def test_negative_cost_rejected(self, line_net):
-        with pytest.raises(ValueError):
-            dijkstra(line_net, 0, 3, edge_cost=lambda e: -1.0)
-
-
-class TestAStar:
-    def test_agrees_with_dijkstra(self):
-        net = grid_city(7, 7, seed=5)
-        rng = np.random.default_rng(0)
-        for _ in range(10):
-            s, t = rng.integers(0, net.num_vertices, size=2)
-            d_edges, d_cost = dijkstra(net, int(s), int(t))
-            a_edges, a_cost = astar(net, int(s), int(t))
-            assert a_cost == pytest.approx(d_cost)
-
-    def test_returns_connected_path(self):
-        net = grid_city(6, 6, seed=2)
-        edges, _ = astar(net, 0, net.num_vertices - 1)
-        assert is_connected_path(net, edges)
-
-
-class TestTimeDependent:
-    def test_constant_speed_matches_static(self, line_net):
-        def tt(eid, t):
-            return line_net.edge(eid).length / 10.0
-
-        edges, total = time_dependent_dijkstra(line_net, 0, 3, 0.0, tt)
-        assert total == pytest.approx(30.0)
-        assert [line_net.edge(e).end for e in edges] == [1, 2, 3]
-
-    def test_congestion_diverts_route(self, line_net):
-        # The middle edge becomes extremely slow after t=5.
-        def tt(eid, t):
-            edge = line_net.edge(eid)
-            base = edge.length / 10.0
-            if edge.start == 1 and edge.end == 2 and t > 5:
-                return base * 100
-            return base
-
-        edges, _ = time_dependent_dijkstra(line_net, 0, 3, 0.0, tt)
+    def test_inf_cost_bars_edge(self, line_net):
+        cost = line_net.arrays().length.copy()
+        cost[line_net.edge_between(0, 1).edge_id] = np.inf
+        edges, total = dijkstra(line_net, 0, 3, edge_cost=cost)
         assert [line_net.edge(e).end for e in edges] == [4, 3]
+        cost[line_net.edge_between(4, 3).edge_id] = np.inf
+        with pytest.raises(NoPathError):
+            dijkstra(line_net, 0, 3, edge_cost=cost)
 
-    def test_nonpositive_travel_time_rejected(self, line_net):
-        with pytest.raises(ValueError):
-            time_dependent_dijkstra(line_net, 0, 3, 0.0, lambda e, t: 0.0)
+    def test_negative_cost_rejected(self, line_net):
+        # Rejected up front, even on an edge the search never explores.
+        cost = line_net.arrays().length.copy()
+        cost[line_net.edge_between(2, 3).edge_id] = -1.0
+        with pytest.raises(ValueError, match="negative"):
+            dijkstra(line_net, 0, 1, edge_cost=cost)
+
+    def test_wrong_shape_cost_rejected(self, line_net):
+        for cost in (np.ones(line_net.num_edges - 1),
+                     np.ones((line_net.num_edges, 1)), 1.0):
+            with pytest.raises(ValueError, match="shape"):
+                dijkstra(line_net, 0, 3, edge_cost=cost)
+        with pytest.raises(TypeError):
+            dijkstra(line_net, 0, 3, edge_cost=lambda eid: 1.0)
 
 
 class TestPerturbedRoute:
