@@ -1,6 +1,6 @@
 """Datagen pipeline bench: out-of-core memory, Viterbi and pool speedups.
 
-Four measurements, one fail-closed JSON:
+Four measurement groups, one ``repro.obs.bench`` document:
 
 * **memory** — a mega-chengdu build is run twice in fresh subprocesses
   (peak RSS is per-process and monotonic, so each variant needs its own
@@ -12,7 +12,8 @@ Four measurements, one fail-closed JSON:
   (the padded lattice for the kernel, its per-fix columns for the
   oracle; candidate
   generation is shared and excluded).  Floor 3x at full scale, 2x
-  reduced; the decoded state sequences must be identical.
+  reduced; the decoded state sequences must be identical (check
+  ``paths_identical``).
 * **parallel** — ``match_many`` at 4 workers vs serial.  CI boxes are
   often single-core, so the default measurement injects a fixed
   per-trip stall (mirroring the serving load harness's overlap probe):
@@ -21,9 +22,8 @@ Four measurements, one fail-closed JSON:
 * **fingerprint_equal** — a chunked build must fingerprint identically
   to the one-shot build (byte-identity is the pipeline's contract).
 
-Results land in ``BENCH_datagen.json`` (schema
-``repro.bench.datagen/v1``, validated by
-``repro.datagen.validate_bench_datagen``).
+The build throughput also carries a 40 trips/s floor.  Results land in
+``BENCH_datagen.json``.
 """
 
 import json
@@ -36,12 +36,10 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.datagen import (
-    DatasetSpec, build, dataset_fingerprint, validate_bench_datagen,
-)
-from repro.datagen.pipeline import BENCH_DATAGEN_SCHEMA
+from repro.datagen import DatasetSpec, build, dataset_fingerprint
 from repro.mapmatching import HMMMapMatcher, match_many
 from repro.mapmatching.candidates import candidate_lattice
+from repro.obs import failed_gates, measure, new_bench, write_bench
 from repro.roadnet import grid_city
 from tests.oracles.mapmatching import viterbi_reference
 
@@ -182,26 +180,29 @@ def test_datagen_pipeline_bench(tmp_path):
     fingerprint_equal = (dataset_fingerprint(oneshot)
                          == dataset_fingerprint(chunked))
 
-    payload = {
-        "schema": BENCH_DATAGEN_SCHEMA,
-        "bench": "datagen_pipeline",
-        "scale": scale,
-        "workload": {"city": "mega-chengdu", "trips": trips,
-                     "days": days, "chunk_size": chunk},
-        "throughput": {"trips_per_s": trips_per_s,
-                       "build_s": disk["build_s"], "floor": 40.0},
-        "memory": {"ram_peak_delta_kb": ram["rss_delta_kb"],
-                   "disk_peak_delta_kb": disk["rss_delta_kb"],
-                   "ratio": ratio, "ceiling": 0.5},
-        "viterbi": {"reference_s": ref_s, "vectorized_s": vec_s,
-                    "speedup": viterbi_speedup, "floor": viterbi_floor,
-                    "trips": len(traces),
-                    "paths_identical": bool(paths_identical)},
-        "parallel": {"jobs": 4, "serial_s": serial_s,
-                     "parallel_s": parallel_s, "speedup": pool_speedup,
-                     "floor": 2.0, "mode": mode},
-        "fingerprint_equal": bool(fingerprint_equal),
-    }
+    doc = new_bench(
+        "datagen_pipeline",
+        {"city": "mega-chengdu", "trips": trips, "days": days,
+         "chunk_size": chunk, "viterbi_trips": len(traces),
+         "pool_jobs": 4, "pool_mode": mode, "scale": scale},
+        {
+            "throughput.trips_per_s": measure(trips_per_s, "1/s",
+                                              floor=40.0),
+            "throughput.build_s": measure(disk["build_s"], "s"),
+            "memory.ram_peak_delta_kb": measure(ram["rss_delta_kb"], "KB"),
+            "memory.disk_peak_delta_kb": measure(disk["rss_delta_kb"],
+                                                 "KB"),
+            "memory.ratio": measure(ratio, "ratio", ceiling=0.5),
+            "viterbi.reference_s": measure(ref_s, "s"),
+            "viterbi.vectorized_s": measure(vec_s, "s"),
+            "viterbi.speedup": measure(viterbi_speedup, "x",
+                                       floor=viterbi_floor),
+            "parallel.serial_s": measure(serial_s, "s"),
+            "parallel.parallel_s": measure(parallel_s, "s"),
+            "parallel.speedup": measure(pool_speedup, "x", floor=2.0),
+        },
+        checks={"paths_identical": paths_identical,
+                "fingerprint_equal": fingerprint_equal})
 
     print_header("Datagen pipeline bench")
     print(f"  build (mega-chengdu x{trips}): "
@@ -217,7 +218,6 @@ def test_datagen_pipeline_bench(tmp_path):
           f"{serial_s:.2f}s -> {parallel_s:.2f}s "
           f"({pool_speedup:.2f}x, floor 2.0x)")
 
-    validate_bench_datagen(payload)        # fail-closed: floors + parity
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2, sort_keys=True)
-                            + "\n")
+    write_bench(str(RESULTS_PATH), doc)
     print(f"  wrote {RESULTS_PATH.name}")
+    assert not failed_gates(doc), failed_gates(doc)

@@ -9,11 +9,12 @@ and the combined wall-time ratio must clear the floor: >= 10x at the
 default ``REPRO_BENCH_SCALE`` (>= 3x when the scale is reduced, where
 fixed overheads eat into the ratio).
 
-Results land in ``BENCH_embedding.json`` at the repo root so the perf
-trajectory is tracked across commits.
+Results land in ``BENCH_embedding.json`` at the repo root
+(``repro.obs.bench`` format) so the perf trajectory is tracked across
+commits.  Its check ``same_walk_count``: both engines emit the same
+number of walks.
 """
 
-import json
 import time
 from pathlib import Path
 
@@ -22,6 +23,7 @@ import numpy as np
 from repro.embedding import (
     SkipGramConfig, generate_node2vec_walks, train_skipgram,
 )
+from repro.obs import failed_gates, measure, new_bench, write_bench
 from repro.roadnet import grid_city
 from repro.roadnet.linegraph import build_line_graph
 from tests.oracles.embedding import (
@@ -77,19 +79,18 @@ def test_embedding_engine_speedup():
               f"{r / max(v, 1e-9):8.1f}")
     print(f"combined speedup: {speedup:.1f}x (floor {floor:.0f}x)")
 
-    RESULTS_PATH.write_text(json.dumps({
-        "bench": "embedding_engine_speedup",
-        "scale": scale,
-        "graph": {"nodes": csr.num_nodes, "edges": csr.num_edges},
-        "workload": {"num_walks": NUM_WALKS, "walk_length": WALK_LENGTH,
-                     "p": P, "q": Q, "dim": SG.dim, "window": SG.window,
-                     "negatives": SG.negatives, "epochs": SG.epochs},
-        "reference": ref,
-        "vectorized": vec,
-        "speedup": speedup,
-        "floor": floor,
-    }, indent=2) + "\n")
-
-    assert speedup >= floor, (
-        f"combined speedup {speedup:.1f}x below the {floor:.0f}x floor "
-        f"(ref {ref['total_s']:.2f}s vs vec {vec['total_s']:.2f}s)")
+    measurements = {"speedup": measure(speedup, "x", floor=floor)}
+    for engine, stats in (("reference", ref), ("vectorized", vec)):
+        for stage in ("walks_s", "sgns_s", "total_s"):
+            measurements[f"{engine}.{stage}"] = measure(stats[stage], "s")
+    doc = new_bench(
+        "embedding_engine_speedup",
+        {"nodes": csr.num_nodes, "edges": csr.num_edges,
+         "walks": vec["num_walks"], "walks_per_node": NUM_WALKS,
+         "walk_length": WALK_LENGTH, "p": P, "q": Q, "dim": SG.dim,
+         "window": SG.window, "negatives": SG.negatives,
+         "epochs": SG.epochs, "scale": scale},
+        measurements,
+        checks={"same_walk_count": ref["num_walks"] == vec["num_walks"]})
+    write_bench(str(RESULTS_PATH), doc)
+    assert not failed_gates(doc), failed_gates(doc)

@@ -9,21 +9,20 @@ per-op oracles of ``tests/oracles/nn.py`` (swapped in by
 floor: >= 3x at the default ``REPRO_BENCH_SCALE`` (>= 2x when the
 scale is reduced, where fixed overheads eat into the ratio).
 
-Results land in ``BENCH_fit.json`` at the repo root (schema checked by
-``repro.nn.validate_bench_fit``), including the per-phase
-forward/backward/optimizer breakdown extracted from the trainer's trace
-spans.
+Results land in ``BENCH_fit.json`` at the repo root (``repro.obs.bench``
+format), including the per-phase forward/backward/optimizer breakdown
+extracted from the trainer's trace spans.  Its checks: each engine's
+phases fit inside its total fit time (``phases_within_fit``) and both
+engines reach the same same-seed validation MAE (``same_seed_mae``).
 """
 
 import contextlib
-import json
 import time
 from pathlib import Path
 
 from repro.core import DeepODConfig, DeepODTrainer, build_deepod
 from repro.datagen import DatasetSpec, build
-from repro.nn import validate_bench_fit
-from repro.obs import Tracer
+from repro.obs import Tracer, failed_gates, measure, new_bench, write_bench
 from tests.oracles.nn import reference_engine
 
 from .conftest import bench_scale, print_header
@@ -108,25 +107,22 @@ def test_fit_engine_speedup():
           f"{ref['val_mae']:.3f}s")
     print(f"fit speedup: {speedup:.1f}x (floor {floor:.0f}x)")
 
-    payload = validate_bench_fit({
-        "bench": "fit_engine_speedup",
-        "scale": scale,
-        "workload": {"trips": trips, "steps": steps, "batch_size": 64,
-                     "sequence_encoder": "lstm", "epochs": epochs},
-        "reference": {k: v for k, v in ref.items() if k != "val_mae"},
-        "fast": {k: v for k, v in fast.items() if k != "val_mae"},
-        "parity": {"fast_mae": fast["val_mae"],
-                   "reference_mae": ref["val_mae"]},
-        "speedup": speedup,
-        "floor": floor,
-    })
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    # Same-seed runs through either engine must land on the same model.
-    assert abs(fast["val_mae"] - ref["val_mae"]) <= \
-        1e-4 * max(ref["val_mae"], 1.0), (
-        f"engines diverged: fast MAE {fast['val_mae']:.6f} vs "
-        f"reference {ref['val_mae']:.6f}")
-    assert speedup >= floor, (
-        f"fit speedup {speedup:.1f}x below the {floor:.0f}x floor "
-        f"(ref {ref['fit_s']:.2f}s vs fast {fast['fit_s']:.2f}s)")
+    measurements = {"speedup": measure(speedup, "x", floor=floor)}
+    for engine, stats in (("reference", ref), ("fast", fast)):
+        for key, value in stats.items():
+            measurements[f"{engine}.{key}"] = measure(value, "s")
+    doc = new_bench(
+        "fit_engine_speedup",
+        {"trips": trips, "steps": steps, "batch_size": 64,
+         "sequence_encoder": "lstm", "epochs": epochs, "scale": scale},
+        measurements,
+        checks={
+            "phases_within_fit": all(
+                sum(stats[f"{p}_s"] for p in PHASES) <= 1.5 * stats["fit_s"]
+                for stats in (ref, fast)),
+            # Same-seed runs through either engine land on one model.
+            "same_seed_mae": abs(fast["val_mae"] - ref["val_mae"])
+            <= 1e-4 * max(ref["val_mae"], 1.0),
+        })
+    write_bench(str(RESULTS_PATH), doc)
+    assert not failed_gates(doc), failed_gates(doc)

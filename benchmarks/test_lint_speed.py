@@ -7,15 +7,18 @@ entries, and re-runs the (parse-free) A-series rules.  The wall-time
 ratio is the whole point of the cache, so it is asserted, not just
 reported.
 
-Results land in ``BENCH_lint.json`` at the repo root, schema-checked by
-``repro.analysis.validate_bench_lint``.
+Results land in ``BENCH_lint.json`` at the repo root (``repro.obs.bench``
+format).  Its checks: the cold run parsed every file
+(``cold_all_misses``), the warm run parsed none
+(``warm_fully_cached``), and both found the same findings
+(``same_findings``).
 """
 
-import json
 import time
 from pathlib import Path
 
-from repro.analysis import BENCH_LINT_SCHEMA, lint_project, validate_bench_lint
+from repro.analysis import lint_project
+from repro.obs import failed_gates, measure, new_bench, write_bench
 
 from .conftest import print_header
 
@@ -36,8 +39,6 @@ def test_lint_cache_speedup(tmp_path):
     cache_path = str(tmp_path / ".reprolint-cache.json")
 
     cold_s, cold = _timed_lint(cache_path)
-    assert cold.stats["cache_hits"] == 0
-    assert cold.stats["cache_misses"] == cold.stats["files"] > 0
 
     # Best of three warm runs: the warm path is pure hashing + cached
     # record replay, short enough that scheduler jitter matters.
@@ -46,13 +47,6 @@ def test_lint_cache_speedup(tmp_path):
         again_s, again = _timed_lint(cache_path)
         if again_s < warm_s:
             warm_s, warm = again_s, again
-    assert warm.stats["cache_hits"] == warm.stats["files"]
-    assert warm.stats["cache_misses"] == 0
-
-    # The cache is an accelerator, not a source of truth: identical
-    # findings either way (and the tree itself lints clean).
-    assert ([f.to_dict() for f in warm.findings]
-            == [f.to_dict() for f in cold.findings])
 
     speedup = cold_s / max(warm_s, 1e-9)
 
@@ -62,22 +56,28 @@ def test_lint_cache_speedup(tmp_path):
     print(f"warm: {warm_s * 1e3:8.1f} ms  (hash + cached records)")
     print(f"speedup: {speedup:.1f}x (floor {FLOOR:.0f}x)")
 
-    payload = validate_bench_lint({
-        "bench": "lint_cache_speedup",
-        "schema": BENCH_LINT_SCHEMA,
-        "files": cold.stats["files"],
-        "findings": len(cold.findings),
-        "cold_s": cold_s,
-        "warm_s": warm_s,
-        "cold": {"cache_hits": cold.stats["cache_hits"],
-                 "cache_misses": cold.stats["cache_misses"]},
-        "warm": {"cache_hits": warm.stats["cache_hits"],
-                 "cache_misses": warm.stats["cache_misses"]},
-        "speedup": speedup,
-        "floor": FLOOR,
-    })
-    RESULTS_PATH.write_text(json.dumps(payload, indent=2) + "\n")
-
-    assert speedup >= FLOOR, (
-        f"warm lint only {speedup:.1f}x faster than cold "
-        f"({cold_s:.3f}s vs {warm_s:.3f}s); floor is {FLOOR:.0f}x")
+    measurements = {
+        "cold_s": measure(cold_s, "s"),
+        "warm_s": measure(warm_s, "s"),
+        "speedup": measure(speedup, "x", floor=FLOOR),
+        "findings": measure(len(cold.findings), "count"),
+    }
+    for phase, result in (("cold", cold), ("warm", warm)):
+        for key in ("cache_hits", "cache_misses"):
+            measurements[f"{phase}.{key}"] = measure(result.stats[key],
+                                                     "count")
+    files = cold.stats["files"]
+    doc = new_bench(
+        "lint_cache_speedup", {"files": files, "root": "src/repro"},
+        measurements,
+        checks={
+            "cold_all_misses": (cold.stats["cache_hits"] == 0
+                                and cold.stats["cache_misses"] == files > 0),
+            "warm_fully_cached": (warm.stats["cache_hits"] == files
+                                  and warm.stats["cache_misses"] == 0),
+            # The cache is an accelerator, not a source of truth.
+            "same_findings": ([f.to_dict() for f in warm.findings]
+                              == [f.to_dict() for f in cold.findings]),
+        })
+    write_bench(str(RESULTS_PATH), doc)
+    assert not failed_gates(doc), failed_gates(doc)

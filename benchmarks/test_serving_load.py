@@ -10,25 +10,27 @@ trajectory is visible across PRs:
 * **overlap** — multi-worker scaling with a fixed per-batch stall
   standing in for model latency (the ``test_sweep_parallel`` pattern:
   honest on a single-core CI box, where CPU-bound scaling is
-  impossible by construction).  This is the asserted floor: a
+  impossible by construction).  This is the gated floor: a
   4-worker cluster must overlap to >= 2x one worker's throughput.
 * **model** — real-model saturation throughput, single process vs the
-  cluster, recorded always and asserted only on >= 4 cores (where the
+  cluster, recorded always and gated only on >= 4 cores (where the
   forked workers actually have hardware to scale onto).
 * **open_loop** — controlled-RPS replay: p50/p95/p99 completion
   latency through ``repro.obs.metrics``; zero failed requests.
 """
 
-import json
 from pathlib import Path
 
 import pytest
 
 from repro.core import DeepODTrainer, TravelTimePredictor, build_deepod
 from repro.datagen import DatasetSpec, build
-from repro.obs import MetricsRegistry, validate_metrics_snapshot
+from repro.obs import (
+    MetricsRegistry, failed_gates, load_bench, validate_metrics_snapshot,
+    write_bench,
+)
 from repro.serving import save_artifact
-from repro.serving.cluster import run_load_test, validate_bench_file, write_bench
+from repro.serving.cluster import run_load_test
 
 from .conftest import BenchParams, print_header, small_deepod_config
 
@@ -63,67 +65,42 @@ def test_serving_load(load_artifact_dir):
     queries = max(int(256 * params.scale), 128)
     registry = MetricsRegistry()
 
-    payload = run_load_test(
+    doc = run_load_test(
         artifact, dataset=dataset, workers=WORKERS, queries=queries,
         rps=150.0, seed=0, stall_ms=STALL_MS, floor=OVERLAP_FLOOR,
         metrics=registry)
-
-    overlap, model = payload["overlap"], payload["model"]
-    open_loop = payload["open_loop"]
-    latency = open_loop["latency_ms"]
+    # Real-model scaling needs real cores; below 4 the number is
+    # recorded in BENCH_serving.json but not gated.
+    cpus = doc["host"]["cpus"]
+    if cpus >= 4:
+        doc["measurements"]["model.speedup"]["floor"] = MODEL_FLOOR
+    m = {name: entry["value"] for name, entry in doc["measurements"].items()}
 
     print_header("Serving cluster — load test")
-    print(f"queries {queries}, workers {WORKERS}, "
-          f"cpus {payload['cpus']}")
+    print(f"queries {queries}, workers {WORKERS}, cpus {cpus}")
     print(f"overlap ({STALL_MS:.0f}ms stall): "
-          f"{overlap['single_qps']:8.1f} qps single  "
-          f"{overlap['cluster_qps']:8.1f} qps cluster  "
-          f"{overlap['speedup']:5.2f}x (floor {OVERLAP_FLOOR:.1f}x)")
-    print(f"model saturation:  {model['single_qps']:8.1f} qps single  "
-          f"{model['cluster_qps']:8.1f} qps cluster  "
-          f"{model['speedup']:5.2f}x")
-    print(f"open loop @ {open_loop['rps_target']:.0f} rps: "
-          f"p50 {latency['p50']:6.1f}ms  p95 {latency['p95']:6.1f}ms  "
-          f"p99 {latency['p99']:6.1f}ms  shed {open_loop['shed']}  "
-          f"failed {open_loop['failed']}")
+          f"{m['overlap.single_qps']:8.1f} qps single  "
+          f"{m['overlap.cluster_qps']:8.1f} qps cluster  "
+          f"{m['overlap.speedup']:5.2f}x (floor {OVERLAP_FLOOR:.1f}x)")
+    print(f"model saturation:  {m['model.single_qps']:8.1f} qps single  "
+          f"{m['model.cluster_qps']:8.1f} qps cluster  "
+          f"{m['model.speedup']:5.2f}x")
+    print(f"open loop @ {doc['workload']['rps']:.0f} rps: "
+          f"p50 {m['open_loop.latency_ms.p50']:6.1f}ms  "
+          f"p95 {m['open_loop.latency_ms.p95']:6.1f}ms  "
+          f"p99 {m['open_loop.latency_ms.p99']:6.1f}ms  "
+          f"shed {m['open_loop.shed']}  failed {m['open_loop.failed']}")
 
-    write_bench(str(RESULTS_PATH), payload)
-    validate_bench_file(str(RESULTS_PATH))
+    write_bench(str(RESULTS_PATH), doc)
     validate_metrics_snapshot(registry.snapshot())
 
-    # The load is all answerable: nothing failed, nothing degraded.
-    assert open_loop["failed"] == 0
-    assert open_loop["degraded"] == 0
-    assert model["degraded"] == 0
-
-    # The asserted scaling floor: worker overlap on fixed-duration
-    # batches, which holds on any core count.
-    assert overlap["speedup"] >= OVERLAP_FLOOR, (
-        f"{WORKERS}-worker overlap {overlap['speedup']:.2f}x below the "
-        f"{OVERLAP_FLOOR:.1f}x floor "
-        f"({overlap['single_qps']:.1f} -> {overlap['cluster_qps']:.1f} qps)")
-
-    # Real-model scaling needs real cores; below 4 the number is
-    # recorded in BENCH_serving.json but not asserted.
-    if payload["cpus"] >= 4:
-        assert model["speedup"] >= MODEL_FLOOR, (
-            f"{WORKERS}-worker model saturation {model['speedup']:.2f}x "
-            f"below the {MODEL_FLOOR:.1f}x floor on "
-            f"{payload['cpus']} cores")
-
-
-def test_bench_document_round_trips(load_artifact_dir, tmp_path):
-    """The written document satisfies its own fail-closed validator and
-    a mutated copy does not."""
-    artifact, dataset = load_artifact_dir
-    payload = run_load_test(artifact, dataset=dataset, workers=2,
-                            queries=64, rps=200.0, stall_ms=10.0)
-    path = tmp_path / "bench.json"
-    write_bench(str(path), payload)
-    assert validate_bench_file(str(path))["schema"] == payload["schema"]
-
-    broken = json.loads(path.read_text())
-    del broken["overlap"]["speedup"]
-    path.write_text(json.dumps(broken))
-    with pytest.raises(ValueError, match="overlap.*missing"):
-        validate_bench_file(str(path))
+    # The load is all answerable: nothing failed, nothing degraded, and
+    # every answer's latency is in the percentiles.
+    assert m["open_loop.failed"] == 0
+    assert m["open_loop.degraded"] == 0
+    assert m["model.degraded"] == 0
+    assert m["open_loop.latency_ms.count"] == m["open_loop.answered"]
+    # The gates: worker overlap on fixed-duration batches, which holds
+    # on any core count, plus model saturation on >= 4 cores.
+    failures = failed_gates(load_bench(str(RESULTS_PATH)))
+    assert not failures, failures

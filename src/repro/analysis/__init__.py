@@ -23,18 +23,15 @@ relies on but previously enforced only by convention:
     The incremental lint cache (``.reprolint-cache.json``): per-file
     outcomes keyed by content hash + engine version + config + rule
     set, so a warm re-lint re-parses nothing.
-``sarif`` / ``bench``
+``sarif``
     SARIF 2.1.0 export for GitHub code scanning (``cli lint --format
-    sarif``) and the fail-closed schema for ``BENCH_lint.json``.
+    sarif``).
 ``contracts``
     ``@shaped("(B,T,D) -> (B,H)")`` shape/dtype contracts on the
     ``repro.nn`` forwards, validated when ``REPRO_CHECK_CONTRACTS=1``
     and free otherwise.
 """
 
-from .bench import (
-    BENCH_LINT_SCHEMA, validate_bench_lint, validate_bench_lint_file,
-)
 from .cache import CACHE_SCHEMA, ENGINE_VERSION, LintCache, config_key
 from .contracts import (
     ContractError, ContractSpecError, contract_checks, contracts_enabled,
@@ -64,5 +61,4 @@ __all__ = [
     "layer_drift",
     "CACHE_SCHEMA", "ENGINE_VERSION", "LintCache", "config_key",
     "SARIF_VERSION", "to_sarif", "validate_sarif",
-    "BENCH_LINT_SCHEMA", "validate_bench_lint", "validate_bench_lint_file",
 ]

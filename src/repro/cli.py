@@ -313,11 +313,11 @@ def cmd_serve(args) -> int:
 def cmd_loadtest(args) -> int:
     """Run the serving load harness and write ``BENCH_serving.json``."""
     from .serving import ArtifactError
-    from .serving.cluster import run_load_test, write_bench
-    from .obs import MetricsRegistry
+    from .serving.cluster import run_load_test
+    from .obs import MetricsRegistry, failed_gates, write_bench
     registry = MetricsRegistry()
     try:
-        payload = run_load_test(
+        doc = run_load_test(
             args.artifact, workers=args.workers, queries=args.queries,
             rps=args.rps, seed=args.seed, stall_ms=args.stall_ms,
             floor=args.floor, max_batch=args.max_batch,
@@ -325,21 +325,20 @@ def cmd_loadtest(args) -> int:
             metrics=registry)
     except ArtifactError as exc:
         raise SystemExit(f"invalid artifact: {exc}")
-    overlap, model = payload["overlap"], payload["model"]
-    latency = payload["open_loop"]["latency_ms"]
+    m = {name: entry["value"] for name, entry in doc["measurements"].items()}
     print(f"overlap ({args.workers} workers, {args.stall_ms:.0f}ms stall): "
-          f"{overlap['single_qps']:.1f} -> {overlap['cluster_qps']:.1f} "
-          f"qps ({overlap['speedup']:.2f}x, floor {overlap['floor']:.1f}x)")
-    print(f"model saturation: {model['single_qps']:.1f} qps single, "
-          f"{model['cluster_qps']:.1f} qps cluster "
-          f"({model['speedup']:.2f}x on {payload['cpus']} cpu(s))")
+          f"{m['overlap.single_qps']:.1f} -> {m['overlap.cluster_qps']:.1f} "
+          f"qps ({m['overlap.speedup']:.2f}x, floor {args.floor:.1f}x)")
+    print(f"model saturation: {m['model.single_qps']:.1f} qps single, "
+          f"{m['model.cluster_qps']:.1f} qps cluster "
+          f"({m['model.speedup']:.2f}x on {doc['host']['cpus']} cpu(s))")
     print(f"open loop @ {args.rps:.0f} rps: "
-          f"p50 {latency['p50']:.1f}ms  p95 {latency['p95']:.1f}ms  "
-          f"p99 {latency['p99']:.1f}ms  "
-          f"shed {payload['open_loop']['shed']} "
-          f"failed {payload['open_loop']['failed']}")
+          f"p50 {m['open_loop.latency_ms.p50']:.1f}ms  "
+          f"p95 {m['open_loop.latency_ms.p95']:.1f}ms  "
+          f"p99 {m['open_loop.latency_ms.p99']:.1f}ms  "
+          f"shed {m['open_loop.shed']} failed {m['open_loop.failed']}")
     if args.out:
-        write_bench(args.out, payload)
+        write_bench(args.out, doc)
         print(f"bench written to {args.out}")
     if args.metrics_out:
         with open(args.metrics_out, "w") as handle:
@@ -348,11 +347,10 @@ def cmd_loadtest(args) -> int:
             handle.write("\n")
         print(f"metrics snapshot written to {args.metrics_out}",
               file=sys.stderr)
-    if args.assert_floor and overlap["speedup"] < overlap["floor"]:
-        print(f"FAIL: overlap speedup {overlap['speedup']:.2f}x below "
-              f"floor {overlap['floor']:.1f}x", file=sys.stderr)
-        return 1
-    return 0
+    failures = failed_gates(doc) if args.assert_floor else []
+    for failure in failures:
+        print(f"FAIL: {failure}", file=sys.stderr)
+    return 1 if failures else 0
 
 
 def cmd_stream(args) -> int:
@@ -845,7 +843,8 @@ def build_parser() -> argparse.ArgumentParser:
                                  "bench document")
     p_loadtest.add_argument("--assert-floor", action="store_true",
                             dest="assert_floor",
-                            help="exit 1 if overlap speedup < --floor")
+                            help="exit 1 if the document misses a gate "
+                                 "(overlap speedup < --floor)")
     p_loadtest.add_argument("--max-batch", type=int, default=16,
                             dest="max_batch")
     p_loadtest.add_argument("--max-wait-ms", type=float, default=2.0,

@@ -16,10 +16,7 @@ from .dataset import (
     subsample_training,
 )
 from .cities import PRESETS, CityPreset, preset_network
-from .pipeline import (
-    BENCH_DATAGEN_SCHEMA, DatasetSpec, build, build_from_preset,
-    validate_bench_datagen, validate_bench_datagen_file,
-)
+from .pipeline import DatasetSpec, build, build_from_preset
 from .storage import open_dataset_dir
 from .incidents import (
     Incident, IncidentConfig, IncidentProcess, IncidentTraffic,
@@ -35,8 +32,7 @@ __all__ = [
     "dataset_fingerprint", "split_indices", "strip_trajectories",
     "subsample_training",
     "PRESETS", "CityPreset", "preset_network",
-    "BENCH_DATAGEN_SCHEMA", "DatasetSpec", "build", "build_from_preset",
-    "validate_bench_datagen", "validate_bench_datagen_file",
+    "DatasetSpec", "build", "build_from_preset",
     "open_dataset_dir",
     "Incident", "IncidentConfig", "IncidentProcess", "IncidentTraffic",
 ]

@@ -244,104 +244,3 @@ def _build_disk(preset, spec, tracer, net, weather, traffic, matcher,
     dataset = storage.open_dataset_dir(spec.out_dir)
     storage.stamp_fingerprint(spec.out_dir, dataset_fingerprint(dataset))
     return dataset
-
-
-# ----------------------------------------------------------------------
-# BENCH_datagen.json schema
-# ----------------------------------------------------------------------
-BENCH_DATAGEN_SCHEMA = "repro.bench.datagen/v1"
-
-
-def _require_number(payload, section, key):
-    value = payload.get(key)
-    if not isinstance(value, (int, float)) or isinstance(value, bool):
-        raise ValueError(f"{section}.{key} must be a number "
-                         f"(got {value!r})")
-    if value < 0:
-        raise ValueError(f"{section}.{key} must be >= 0")
-    return value
-
-
-def validate_bench_datagen(payload) -> dict:
-    """Validate a ``BENCH_datagen.json`` document; returns it unchanged.
-
-    Fail-closed: every recorded speedup must clear its floor, the
-    out-of-core build's peak memory must stay under its ceiling, and
-    the parity bits (byte-identical fingerprints, identical Viterbi
-    paths) must be true.  CI calls this on the bench artefact so a
-    regression cannot ship a green JSON.
-    """
-    if not isinstance(payload, dict):
-        raise ValueError("bench payload must be a JSON object")
-    if payload.get("schema") != BENCH_DATAGEN_SCHEMA:
-        raise ValueError(f"schema must be {BENCH_DATAGEN_SCHEMA!r} "
-                         f"(got {payload.get('schema')!r})")
-    if payload.get("bench") != "datagen_pipeline":
-        raise ValueError("bench must be 'datagen_pipeline' "
-                         f"(got {payload.get('bench')!r})")
-    workload = payload.get("workload")
-    if not isinstance(workload, dict):
-        raise ValueError("workload must be an object")
-    if workload.get("city") not in PRESETS:
-        raise ValueError(f"workload.city {workload.get('city')!r} is not "
-                         "a known preset")
-    for key in ("trips", "days", "chunk_size"):
-        _require_number(workload, "workload", key)
-
-    throughput = payload.get("throughput")
-    if not isinstance(throughput, dict):
-        raise ValueError("throughput must be an object")
-    for key in ("trips_per_s", "build_s", "floor"):
-        _require_number(throughput, "throughput", key)
-    if throughput["trips_per_s"] < throughput["floor"]:
-        raise ValueError(
-            f"throughput {throughput['trips_per_s']:.1f} trips/s below "
-            f"the {throughput['floor']:.1f} floor")
-
-    memory = payload.get("memory")
-    if not isinstance(memory, dict):
-        raise ValueError("memory must be an object")
-    for key in ("ram_peak_delta_kb", "disk_peak_delta_kb", "ratio",
-                "ceiling"):
-        _require_number(memory, "memory", key)
-    if memory["ratio"] > memory["ceiling"]:
-        raise ValueError(
-            f"out-of-core peak RSS ratio {memory['ratio']:.2f} above "
-            f"the {memory['ceiling']:.2f} ceiling")
-
-    viterbi = payload.get("viterbi")
-    if not isinstance(viterbi, dict):
-        raise ValueError("viterbi must be an object")
-    for key in ("reference_s", "vectorized_s", "speedup", "floor",
-                "trips"):
-        _require_number(viterbi, "viterbi", key)
-    if viterbi["speedup"] < viterbi["floor"]:
-        raise ValueError(
-            f"viterbi speedup {viterbi['speedup']:.2f}x below the "
-            f"{viterbi['floor']:.2f}x floor")
-    if viterbi.get("paths_identical") is not True:
-        raise ValueError("viterbi.paths_identical must be true")
-
-    parallel = payload.get("parallel")
-    if not isinstance(parallel, dict):
-        raise ValueError("parallel must be an object")
-    for key in ("jobs", "serial_s", "parallel_s", "speedup", "floor"):
-        _require_number(parallel, "parallel", key)
-    if parallel.get("mode") not in ("stall", "real"):
-        raise ValueError("parallel.mode must be 'stall' or 'real'")
-    if parallel["speedup"] < parallel["floor"]:
-        raise ValueError(
-            f"match_many speedup {parallel['speedup']:.2f}x below the "
-            f"{parallel['floor']:.2f}x floor")
-
-    if payload.get("fingerprint_equal") is not True:
-        raise ValueError("fingerprint_equal must be true (chunked and "
-                         "one-shot builds diverged)")
-    return payload
-
-
-def validate_bench_datagen_file(path: str) -> dict:
-    """Load and validate a ``BENCH_datagen.json`` file (CI entry point)."""
-    import json
-    with open(path) as handle:
-        return validate_bench_datagen(json.load(handle))

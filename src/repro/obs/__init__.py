@@ -18,9 +18,15 @@ time) and behind every later perf PR.  Three pieces:
     wire spans into hot paths without per-class plumbing.
 
 ``schema`` validates both export formats fail-closed (the CI obs-smoke
-job and the golden tests call it).  Everything is stdlib + numpy.
+job and the golden tests call it).  ``bench`` owns the one
+``BENCH_*.json`` document format (``repro.bench/v1``) every benchmark
+writes and CI re-checks.  Everything is stdlib + numpy.
 """
 
+from .bench import (
+    BENCH_SCHEMA, failed_gates, load_bench, measure, new_bench,
+    validate_bench, write_bench,
+)
 from .instrument import Instrumented, traced
 from .metrics import (
     Counter, Histogram, MetricsRegistry, global_registry,
@@ -33,6 +39,8 @@ from .schema import (
 from .tracing import NULL_TRACER, TRACE_SCHEMA, Span, Tracer
 
 __all__ = [
+    "BENCH_SCHEMA", "failed_gates", "load_bench", "measure", "new_bench",
+    "validate_bench", "write_bench",
     "Instrumented", "traced",
     "Counter", "Histogram", "MetricsRegistry",
     "global_registry", "reset_global_registry",

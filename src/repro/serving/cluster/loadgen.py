@@ -15,27 +15,23 @@ into a repeatable measurement:
 * :func:`run_open_loop` — controlled-RPS arrivals with per-query
   completion latencies recorded into a ``repro.obs.metrics`` histogram
   (p50/p95/p99 come from its standard summary);
-* :func:`build_bench_payload` / :func:`validate_bench_serving` /
-  :func:`write_bench` — the ``BENCH_serving.json`` document
-  (schema ``repro.bench.serving/v1``, fail-closed validation) that
-  makes the serving perf trajectory visible across PRs.
+* :func:`run_load_test` — all three against one artifact, returned as
+  the ``BENCH_serving.json`` document (``repro.obs.bench`` format).
 """
 
 from __future__ import annotations
 
-import json
-import os
+import threading
 import time
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from ...obs.bench import measure, new_bench
 from ...obs.metrics import MetricsRegistry
 from ...trajectory.model import Query
-from ..artifact import load_artifact
+from ..artifact import load_artifact, read_manifest
 from ..errors import SaturatedError
-
-BENCH_SCHEMA = "repro.bench.serving/v1"
 
 
 # ---------------------------------------------------------------------------
@@ -111,6 +107,7 @@ def run_open_loop(target, queries: Sequence[Query], rps: float,
         raise ValueError("rps must be > 0")
     registry = metrics or MetricsRegistry()
     hist = registry.histogram("loadtest.latency_ms")
+    recorded = threading.Semaphore(0)
     shed = failed = 0
     futures = []
     start = time.perf_counter()
@@ -129,6 +126,7 @@ def run_open_loop(target, queries: Sequence[Query], rps: float,
 
         def _record(f, sent=sent):
             hist.observe((time.perf_counter() - sent) * 1000.0)
+            recorded.release()
 
         future.add_done_callback(_record)
         futures.append(future)
@@ -139,6 +137,12 @@ def run_open_loop(target, queries: Sequence[Query], rps: float,
                 degraded += 1
         except Exception:
             failed += 1
+    # ``Future.set_result`` wakes ``result()`` before it runs the done
+    # callbacks, so a completed query's latency may not be observed
+    # yet: wait for every completed future's ``_record``.
+    for future in futures:
+        if future.done():
+            recorded.acquire(timeout=timeout_s)
     wall_s = time.perf_counter() - start
     summary = hist.summary()
     answered = len(futures) - failed
@@ -150,9 +154,9 @@ def run_open_loop(target, queries: Sequence[Query], rps: float,
         "shed": shed,
         "failed": failed,
         "degraded": degraded,
-        "latency_ms": {"p50": summary["p50"], "p95": summary["p95"],
-                       "p99": summary["p99"], "mean": summary["mean"],
-                       "max": summary["max"]},
+        "latency_ms": {"count": summary["count"], "p50": summary["p50"],
+                       "p95": summary["p95"], "p99": summary["p99"],
+                       "mean": summary["mean"], "max": summary["max"]},
     }
 
 
@@ -163,23 +167,24 @@ def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
                   max_batch: int = 16, max_wait_s: float = 0.002,
                   routing: str = "region",
                   metrics: Optional[MetricsRegistry] = None) -> Dict:
-    """The full serving load test; returns a validated bench payload.
+    """The full serving load test; returns the ``BENCH_serving.json``
+    document (``repro.obs.bench`` format, bench ``serving_load``).
 
-    Three measurements, one artifact:
+    Three groups of measurements, one artifact:
 
-    ``overlap``
+    ``overlap.*``
         Multi-worker scaling with a fixed ``stall_ms`` of injected
         per-batch work standing in for model latency on bigger hardware
         (the ``benchmarks/test_sweep_parallel`` pattern — honest on a
         single-core CI box, where CPU-bound scaling is impossible by
         construction).  Round-robin routing guarantees balanced shards,
-        so the expected speedup is ~``workers``; the recorded ``floor``
-        is what the benchmark asserts.
-    ``model``
+        so the expected speedup is ~``workers``; ``overlap.speedup``
+        carries ``floor`` as the document's gate.
+    ``model.*``
         Real-model saturation throughput, single process vs the
         ``workers``-shard cluster, no stall — the genuine numbers for
-        this machine, recorded but never asserted below 4 cores.
-    ``open_loop``
+        this machine, recorded ungated.
+    ``open_loop.*``
         Controlled-RPS replay against the no-stall cluster:
         p50/p95/p99 completion latency, shed/failed counts.
     """
@@ -196,18 +201,16 @@ def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
                              max_wait_s=max_wait_s,
                              batch_stall_s=stall_ms / 1000.0)
 
-    overlap = {"workers": workers, "stall_ms": stall_ms, "floor": floor,
-               "queries": len(stream)}
+    overlap = {}
     for key, num in (("single", 1), ("cluster", workers)):
         cluster = ServingCluster(artifact_path, dataset=dataset,
                                  config=stalled_config(num))
         cluster.start()
         try:
-            overlap[f"{key}_qps"] = measure_submit_throughput(
+            overlap[key] = measure_submit_throughput(
                 cluster, stream)["throughput_qps"]
         finally:
             cluster.stop()
-    overlap["speedup"] = overlap["cluster_qps"] / overlap["single_qps"]
 
     service = TravelTimeService(predictor=predictor, dataset=dataset)
     single = measure_saturation(service, stream)
@@ -218,92 +221,31 @@ def run_load_test(artifact_path: str, *, dataset=None, workers: int = 4,
     cluster.start()
     try:
         scaled = measure_saturation(cluster, stream)
-        model = {"workers": workers,
-                 "single_qps": single["throughput_qps"],
-                 "cluster_qps": scaled["throughput_qps"],
-                 "speedup": (scaled["throughput_qps"]
-                             / single["throughput_qps"]),
-                 "degraded": scaled["degraded"]}
         open_loop = run_open_loop(cluster, stream, rps, metrics=metrics)
     finally:
         cluster.stop()
 
-    return build_bench_payload(
-        overlap, model, open_loop,
-        config={"artifact": os.path.realpath(artifact_path),
-                "queries": queries, "seed": seed, "rps": rps,
-                "workers": workers, "max_batch": max_batch,
-                "max_wait_s": max_wait_s, "routing": routing})
-
-
-# ---------------------------------------------------------------------------
-_REQUIRED_SECTION_KEYS = {
-    "overlap": ("workers", "single_qps", "cluster_qps", "speedup",
-                "floor", "stall_ms"),
-    "model": ("workers", "single_qps", "cluster_qps", "speedup"),
-    "open_loop": ("rps_target", "rps_achieved", "latency_ms", "queries",
-                  "failed"),
-}
-
-
-def build_bench_payload(overlap: Dict, model: Dict, open_loop: Dict,
-                        config: Optional[Dict] = None) -> Dict:
-    """Assemble (and validate) a ``BENCH_serving.json`` document."""
-    payload = {
-        "schema": BENCH_SCHEMA,
-        "created_unix": time.time(),  # repro: allow[D003] benchmark-result timestamp for cross-PR trend reading, not a deterministic code path
-        "cpus": len(os.sched_getaffinity(0))
-                if hasattr(os, "sched_getaffinity") else os.cpu_count(),
-        "config": dict(config or {}),
-        "overlap": dict(overlap),
-        "model": dict(model),
-        "open_loop": dict(open_loop),
+    measurements = {
+        "overlap.single_qps": measure(overlap["single"], "1/s"),
+        "overlap.cluster_qps": measure(overlap["cluster"], "1/s"),
+        "overlap.speedup": measure(overlap["cluster"] / overlap["single"],
+                                   "x", floor=floor),
+        "model.single_qps": measure(single["throughput_qps"], "1/s"),
+        "model.cluster_qps": measure(scaled["throughput_qps"], "1/s"),
+        "model.speedup": measure(
+            scaled["throughput_qps"] / single["throughput_qps"], "x"),
+        "model.degraded": measure(scaled["degraded"], "count"),
+        "open_loop.rps_achieved": measure(open_loop["rps_achieved"], "1/s"),
     }
-    return validate_bench_serving(payload)
-
-
-def validate_bench_serving(payload: Dict) -> Dict:
-    """Fail-closed shape check of a serving-bench document."""
-    if not isinstance(payload, dict):
-        raise ValueError("bench payload must be a JSON object")
-    if payload.get("schema") != BENCH_SCHEMA:
-        raise ValueError(f"bench schema must be {BENCH_SCHEMA!r} "
-                         f"(got {payload.get('schema')!r})")
-    if not isinstance(payload.get("created_unix"), (int, float)):
-        raise ValueError("bench created_unix must be a number")
-    for section, keys in _REQUIRED_SECTION_KEYS.items():
-        body = payload.get(section)
-        if not isinstance(body, dict):
-            raise ValueError(f"bench {section!r} must be an object")
-        missing = set(keys) - set(body)
-        if missing:
-            raise ValueError(
-                f"bench {section!r} missing keys {sorted(missing)}")
-    latency = payload["open_loop"]["latency_ms"]
-    if not isinstance(latency, dict):
-        raise ValueError("open_loop latency_ms must be an object")
-    for key in ("p50", "p95", "p99"):
-        if not isinstance(latency.get(key), (int, float)):
-            raise ValueError(f"open_loop latency_ms.{key} must be a number")
-    for key in ("single_qps", "cluster_qps", "speedup"):
-        for section in ("overlap", "model"):
-            value = payload[section][key]
-            if not isinstance(value, (int, float)) or value < 0:
-                raise ValueError(
-                    f"bench {section}.{key} must be a non-negative number")
-    return payload
-
-
-def write_bench(path: str, payload: Dict) -> str:
-    """Validate and write a bench document; returns the path."""
-    validate_bench_serving(payload)
-    with open(path, "w") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    return path
-
-
-def validate_bench_file(path: str) -> Dict:
-    """Load and validate a ``BENCH_serving.json`` (CI smoke entry)."""
-    with open(path) as handle:
-        return validate_bench_serving(json.load(handle))
+    for key in ("answered", "shed", "failed", "degraded"):
+        measurements[f"open_loop.{key}"] = measure(open_loop[key], "count")
+    for key, value in open_loop["latency_ms"].items():
+        measurements[f"open_loop.latency_ms.{key}"] = measure(
+            value, "count" if key == "count" else "ms")
+    workload = {
+        "artifact_fingerprint":
+            read_manifest(artifact_path)["dataset"]["fingerprint"],
+        "queries": queries, "seed": seed, "rps": rps, "workers": workers,
+        "stall_ms": stall_ms, "max_batch": max_batch,
+        "max_wait_s": max_wait_s, "routing": routing}
+    return new_bench("serving_load", workload, measurements)

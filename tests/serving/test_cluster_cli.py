@@ -21,11 +21,16 @@ class TestLoadtestCLI:
         assert "overlap (2 workers" in out
         assert "open loop @ 200 rps" in out
 
-        from repro.obs import validate_metrics_file
-        from repro.serving.cluster import validate_bench_file
-        bench = validate_bench_file(str(bench_path))
-        assert bench["config"]["workers"] == 2
-        assert bench["open_loop"]["failed"] == 0
+        from repro.obs import failed_gates, load_bench, validate_metrics_file
+        from repro.serving import read_manifest
+        bench = load_bench(str(bench_path))
+        assert failed_gates(bench) == []
+        assert bench["workload"]["workers"] == 2
+        assert bench["measurements"]["open_loop.failed"]["value"] == 0
+        # The artifact is named by its dataset fingerprint, not a path.
+        assert bench["workload"]["artifact_fingerprint"] == \
+            read_manifest(artifact_dir)["dataset"]["fingerprint"]
+        assert str(tmp_path.parent) not in bench_path.read_text()
         snap = validate_metrics_file(str(metrics_path))
         assert snap["histograms"]["loadtest.latency_ms"]["count"] == 32
 
@@ -38,6 +43,32 @@ class TestLoadtestCLI:
                      "--stall-ms", "5", "--floor", "1000",
                      "--assert-floor"]) == 1
         assert "below" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("gate", [
+        {"measurements": {"p99": {"value": 9.0, "ceiling": 5.0}}},
+        {"checks": {"parity": False}},
+    ], ids=["ceiling breach", "false check"])
+    def test_assert_floor_fails_on_any_missed_gate(self, monkeypatch,
+                                                   capsys, gate):
+        from repro.obs import measure, new_bench
+        from repro.serving import cluster
+        measurements = {
+            name: measure(1.0) for name in (
+                "overlap.single_qps", "overlap.cluster_qps",
+                "overlap.speedup", "model.single_qps",
+                "model.cluster_qps", "model.speedup",
+                "open_loop.latency_ms.p50", "open_loop.latency_ms.p95",
+                "open_loop.latency_ms.p99", "open_loop.shed",
+                "open_loop.failed")}
+        measurements.update(gate.get("measurements", {}))
+        doc = new_bench("serving_load", {}, measurements,
+                        checks=gate.get("checks"))
+        monkeypatch.setattr(cluster, "run_load_test",
+                            lambda *args, **kwargs: doc)
+        assert main(["loadtest", "--artifact", "unused",
+                     "--assert-floor"]) == 1
+        err = capsys.readouterr().err
+        assert "above ceiling" in err or "check parity is false" in err
 
     def test_rejects_bad_artifact(self, tmp_path):
         with pytest.raises(SystemExit):
